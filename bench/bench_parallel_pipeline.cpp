@@ -1,24 +1,18 @@
 //===-- bench_parallel_pipeline.cpp - End-to-end parallel pipeline --------------==//
 //
-// The PR-6 tentpole claim: the whole analysis pipeline — compile,
-// points-to, mod-ref, SDG construction, and a 100-seed slice batch —
-// on a shared work-stealing pool at `--threads 4` beats `--threads 1`
-// by >= 2x end-to-end on the largest scalability workload. The
-// parallel stages are the per-clone intra-edge phase of the SDG
-// builder, the bottom-up SCC waves of the mod-ref fixpoint, and the
-// engine's batch fan-out; every artifact is byte-identical across
-// thread counts (tests/parallel_test.cpp), so the two configurations
-// do the same work.
+// The whole analysis pipeline — compile, points-to, mod-ref, SDG
+// construction, and a 100-seed slice batch — at `--threads 1` against
+// `--threads 4` on the largest scalability workload. The analysis
+// stages run sequentially; only the engine's batch fan-out uses the
+// session pool. Every artifact is byte-identical across thread counts
+// (tests/parallel_test.cpp), so the configurations do the same work.
 //
 //   ./bench/bench_parallel_pipeline
 //   ./bench/bench_parallel_pipeline --benchmark_out=BENCH_parallel_pipeline.json
 //                                   --benchmark_out_format=json
 //
-// Honesty note: the speedup is bounded by the host's core count
-// (reported as num_cpus in the JSON context and as a counter). On a
-// single-core host the 4-thread number demonstrates that the pool
-// does not regress, not that it speeds up — the summary line below
-// says which.
+// The speedup is bounded by the host's core count (reported as
+// num_cpus in the JSON context and as a counter).
 //
 //===----------------------------------------------------------------------===//
 
@@ -86,22 +80,6 @@ void BM_PipelineEndToEnd(benchmark::State &State) {
 BENCHMARK(BM_PipelineEndToEnd)->Arg(1)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-/// The SDG-build share alone (points-to held warm): the stage the
-/// per-clone intra-edge phase parallelizes.
-void BM_SdgBuild(benchmark::State &State) {
-  const unsigned Threads = static_cast<unsigned>(State.range(0));
-  for (auto _ : State) {
-    State.PauseTiming();
-    AnalysisSession S(workloadSource());
-    S.setThreads(Threads);
-    benchmark::DoNotOptimize(S.modRef()); // warm everything up to the SDG
-    State.ResumeTiming();
-    benchmark::DoNotOptimize(S.sdg());
-  }
-  State.counters["req_threads"] = Threads;
-}
-BENCHMARK(BM_SdgBuild)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -126,11 +104,7 @@ int main(int argc, char **argv) {
          Cpus);
   printf("--threads 1: %8.3f ms end-to-end\n", Seq);
   printf("--threads 4: %8.3f ms end-to-end\n", Par);
-  printf("speedup: %.2fx %s\n\n", Speedup,
-         Speedup >= 2.0      ? "(>= 2x target met)"
-         : Cpus < 2          ? "(below 2x target -- single-core host, "
-                               "threading cannot speed up; see num_cpus)"
-                             : "(below 2x target!)");
+  printf("speedup: %.2fx\n\n", Speedup);
 
   if (!guardBenchmarkBaseline(argc, argv))
     return 2;

@@ -1,33 +1,21 @@
-//===-- bench_pta_solver.cpp - Naive vs. optimized Andersen solver --------------==//
+//===-- bench_pta_solver.cpp - Reference vs. production Andersen solver ---------==//
 //
 // The pointer analysis dominates end-to-end slicing cost (paper
 // Sec. 6.1 and bench_scalability), so this harness pits the naive
-// full-set FIFO solver against the optimized one (difference
-// propagation + lazy cycle elimination + priority worklist) on a
-// points-to-intensive workload padded to several sizes with
-// padWorkload. SolverStats are exported as benchmark counters so
-// propagation-count reductions are visible next to the wall-time
-// speedup:
+// reference solver (runPointsToReference: full sets, FIFO order, no
+// cycle collapsing) against the production one (difference
+// propagation + lazy cycle elimination + topological worklist) on
+// solverStressWorkload at several pad sizes. SolverStats are exported
+// as benchmark counters so propagation-count reductions are visible
+// next to the wall-time speedup:
 //
 //   ./bench/bench_pta_solver
 //   ./bench/bench_pta_solver --benchmark_out=BENCH_pta_solver.json
 //                            --benchmark_out_format=json
 //
-// The base program is generated, not hand-written: RING distinct
-// Cell allocation sites linked into a ring, each seeded with its own
-// Item allocation, a traversal loop that mixes every item set into
-// every cell's item field, and a ring of local-to-local copies closed
-// back on itself. Points-to sets grow to hundreds of objects and the
-// copy ring is a genuine SCC, so the naive solver's full-set
-// repropagation does super-linear work that difference propagation
-// and cycle collapsing avoid. padWorkload then wraps the core in
-// realistic surrounding code mass, as library code does for the
-// paper's benchmarks.
-//
 //===----------------------------------------------------------------------===//
 
 #include "eval/Experiments.h"
-#include "eval/Workload.h"
 #include "lang/Lower.h"
 #include "pta/PointsTo.h"
 
@@ -44,90 +32,25 @@ using namespace tsl;
 
 namespace {
 
-/// Number of distinct Cell/Item allocation sites in the generated
-/// core. Points-to sets in the core reach this many objects, so it
-/// directly controls how much repropagation the naive solver does.
-constexpr unsigned RING = 320;
-
-/// Largest padWorkload size benchmarked; the head-to-head summary in
-/// main() runs on this one.
+/// Largest pad size benchmarked; the head-to-head summary in main()
+/// runs on this one.
 constexpr unsigned MAX_PAD = 24;
 
-std::string solverStressBody() {
-  std::string B;
-  B += "class Cell {\n  var item: Object;\n  var next: Cell;\n}\n";
-  for (unsigned I = 0; I != RING; ++I)
-    B += "class Item" + std::to_string(I) + " { }\n";
-  B += "def main() {\n";
-  // RING distinct cells linked into a ring of next fields.
-  for (unsigned I = 0; I != RING; ++I)
-    B += "  var c" + std::to_string(I) + " = new Cell();\n";
-  for (unsigned I = 0; I != RING; ++I)
-    B += "  c" + std::to_string(I) + ".next = c" +
-         std::to_string((I + 1) % RING) + ";\n";
-  // Each cell seeded with its own item object.
-  for (unsigned I = 0; I != RING; ++I)
-    B += "  c" + std::to_string(I) + ".item = new Item" + std::to_string(I) +
-         "();\n";
-  // Traversal: cur's set grows one cell per solver round (the load
-  // constraint feeds the phi back), and the item stores smear every
-  // item set across every cell's item field.
-  B += "  var cur = c0;\n"
-       "  for (var i = 0; i < 1000; i = i + 1) {\n"
-       "    var nxt = cur.next;\n"
-       "    nxt.item = cur.item;\n"
-       "    cur = nxt;\n"
-       "  }\n";
-  // A closed ring of local-to-local copies: a genuine copy-edge SCC
-  // holding a large set. Lazy cycle detection collapses it to one
-  // node; the naive solver keeps pumping full sets around it.
-  B += "  var a0 = cur;\n";
-  for (unsigned I = 1; I != RING; ++I)
-    B += "  var a" + std::to_string(I) + " = a" + std::to_string(I - 1) +
-         ";\n";
-  B += "  a0 = a" + std::to_string(RING - 1) + ";\n";
-  B += "  print(\"stress done\");\n}\n";
-  return B;
-}
-
-/// One compiled padded workload per pad size, shared by all configs.
+/// One compiled padded workload per pad size, shared by both solvers.
 Program &programForPad(unsigned Pad) {
   static std::map<unsigned, std::unique_ptr<Program>> Cache;
   auto It = Cache.find(Pad);
   if (It == Cache.end()) {
-    WorkloadProgram Base = makeWorkload("solver-stress", solverStressBody());
-    WorkloadProgram W =
-        padWorkload(Base, "PS" + std::to_string(Pad), Pad, 6);
     DiagnosticEngine Diag;
-    std::unique_ptr<Program> P = compileThinJ(W.Source, Diag);
+    std::unique_ptr<Program> P =
+        compileThinJ(solverStressWorkload(Pad).Source, Diag);
     It = Cache.emplace(Pad, std::move(P)).first;
   }
   return *It->second;
 }
 
-PTAOptions naiveOpts() {
-  PTAOptions O;
-  O.DeltaPropagation = false;
-  O.CycleElimination = false;
-  O.Policy = WorklistPolicy::FIFO;
-  return O;
-}
-
-PTAOptions deltaOnlyOpts() {
-  PTAOptions O;
-  O.DeltaPropagation = true;
-  O.CycleElimination = false;
-  O.Policy = WorklistPolicy::FIFO;
-  return O;
-}
-
-PTAOptions optimizedOpts(WorklistPolicy Policy = WorklistPolicy::Topo) {
-  PTAOptions O;
-  O.DeltaPropagation = true;
-  O.CycleElimination = true;
-  O.Policy = Policy;
-  return O;
-}
+using SolverFn = std::unique_ptr<PointsToResult> (*)(Program &,
+                                                     const PTAOptions &);
 
 void reportCounters(benchmark::State &State, const SolverStats &S) {
   State.counters["nodes"] = static_cast<double>(S.NumNodes);
@@ -144,11 +67,11 @@ void reportCounters(benchmark::State &State, const SolverStats &S) {
   State.counters["nodes_merged"] = static_cast<double>(S.NodesMerged);
 }
 
-void runSolverBench(benchmark::State &State, const PTAOptions &Opts) {
+void runSolverBench(benchmark::State &State, SolverFn Solve) {
   Program &P = programForPad(static_cast<unsigned>(State.range(0)));
   SolverStats Last;
   for (auto _ : State) {
-    std::unique_ptr<PointsToResult> R = runPointsTo(P, Opts);
+    std::unique_ptr<PointsToResult> R = Solve(P, PTAOptions());
     Last = R->stats();
     benchmark::DoNotOptimize(R);
   }
@@ -156,36 +79,21 @@ void runSolverBench(benchmark::State &State, const PTAOptions &Opts) {
 }
 
 void BM_SolverNaive(benchmark::State &State) {
-  runSolverBench(State, naiveOpts());
+  runSolverBench(State, runPointsToReference);
 }
 BENCHMARK(BM_SolverNaive)->Arg(0)->Arg(8)->Arg(16)->Arg(MAX_PAD)
     ->Unit(benchmark::kMillisecond);
 
-void BM_SolverDeltaOnly(benchmark::State &State) {
-  runSolverBench(State, deltaOnlyOpts());
-}
-BENCHMARK(BM_SolverDeltaOnly)->Arg(0)->Arg(8)->Arg(16)->Arg(MAX_PAD)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_SolverOptimized(benchmark::State &State) {
-  runSolverBench(State, optimizedOpts());
+  runSolverBench(State, runPointsTo);
 }
 BENCHMARK(BM_SolverOptimized)->Arg(0)->Arg(8)->Arg(16)->Arg(MAX_PAD)
-    ->Unit(benchmark::kMillisecond);
-
-// Worklist-policy ablation: least-recently-fired degenerates to
-// one-hop-per-pop round-robin on the copy ring and loses badly to the
-// topological order -- kept here so the gap stays measured.
-void BM_SolverOptimizedLRF(benchmark::State &State) {
-  runSolverBench(State, optimizedOpts(WorklistPolicy::LRF));
-}
-BENCHMARK(BM_SolverOptimizedLRF)->Arg(0)->Arg(8)->Arg(16)->Arg(MAX_PAD)
     ->Unit(benchmark::kMillisecond);
 
 } // namespace
 
 int main(int argc, char **argv) {
-  printf("=== Andersen solver: naive vs. optimized ===\n\n");
+  printf("=== Andersen solver: reference vs. production ===\n\n");
 
   // Head-to-head on the largest padded workload, work counters
   // included (the benchmark timings below are the authoritative wall
@@ -193,15 +101,16 @@ int main(int argc, char **argv) {
   Program &P = programForPad(MAX_PAD);
   SolverStats Naive, Opt;
   {
-    std::unique_ptr<PointsToResult> R = runPointsTo(P, naiveOpts());
+    std::unique_ptr<PointsToResult> R = runPointsToReference(P, PTAOptions());
     Naive = R->stats();
   }
   {
-    std::unique_ptr<PointsToResult> R = runPointsTo(P, optimizedOpts());
+    std::unique_ptr<PointsToResult> R = runPointsTo(P);
     Opt = R->stats();
   }
-  printf("naive (full-set, FIFO):\n%s\n", Naive.str().c_str());
-  printf("optimized (delta + LCD + topo worklist):\n%s\n", Opt.str().c_str());
+  printf("reference (full-set, FIFO):\n%s\n", Naive.str().c_str());
+  printf("production (delta + LCD + topo worklist):\n%s\n",
+         Opt.str().c_str());
   if (Opt.SolveSeconds > 0 && Opt.Propagations > 0 && Opt.DeltaBitsMoved > 0)
     printf("speedup: %.2fx wall, %.2fx fewer propagations, "
            "%.2fx fewer delta bits moved\n\n",

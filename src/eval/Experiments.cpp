@@ -185,6 +185,38 @@ WorkloadProgram tsl::padWorkload(const WorkloadProgram &W,
   return Out;
 }
 
+WorkloadProgram tsl::solverStressWorkload(unsigned Pad) {
+  constexpr unsigned Ring = 320;
+  auto N = [](unsigned I) { return std::to_string(I); };
+  std::string B = "class Cell {\n  var item: Object;\n  var next: Cell;\n}\n";
+  for (unsigned I = 0; I != Ring; ++I)
+    B += "class Item" + N(I) + " { }\n";
+  B += "def main() {\n";
+  for (unsigned I = 0; I != Ring; ++I)
+    B += "  var c" + N(I) + " = new Cell();\n";
+  for (unsigned I = 0; I != Ring; ++I)
+    B += "  c" + N(I) + ".next = c" + N((I + 1) % Ring) + ";\n";
+  for (unsigned I = 0; I != Ring; ++I)
+    B += "  c" + N(I) + ".item = new Item" + N(I) + "();\n";
+  // Traversal: cur's set grows one cell per solver round (the load
+  // constraint feeds the phi back), and the item stores smear every
+  // item set across every cell's item field.
+  B += "  var cur = c0;\n"
+       "  for (var i = 0; i < 1000; i = i + 1) {\n"
+       "    var nxt = cur.next;\n"
+       "    nxt.item = cur.item;\n"
+       "    cur = nxt;\n"
+       "  }\n";
+  // The copy ring: lazy cycle detection collapses it to one node; the
+  // naive solver keeps pumping full sets around it.
+  B += "  var a0 = cur;\n";
+  for (unsigned I = 1; I != Ring; ++I)
+    B += "  var a" + N(I) + " = a" + N(I - 1) + ";\n";
+  B += "  a0 = a" + N(Ring - 1) + ";\n";
+  B += "  print(\"stress done\");\n}\n";
+  return padWorkload(makeWorkload("solver-stress", B), "PS" + N(Pad), Pad, 6);
+}
+
 //===----------------------------------------------------------------------===//
 // Table 1
 //===----------------------------------------------------------------------===//

@@ -135,7 +135,7 @@ std::string formatInspectionTable(const std::string &Title,
 std::string formatScalability(const std::vector<ScalabilityRow> &Rows);
 std::string formatAblation(const std::vector<AblationRow> &Rows);
 
-/// Analysis concurrency the experiment drivers install into every
+/// Slice-batch concurrency the experiment drivers install into every
 /// session they create (warm registry sessions and the timing
 /// drivers' local ones). Default 1. Tables are byte-identical for
 /// every value — asserted by the parallel determinism tests.
@@ -152,6 +152,15 @@ void resetEvalSessions();
 /// sweep to reach realistic program sizes).
 WorkloadProgram padWorkload(const WorkloadProgram &W, const std::string &Tag,
                             unsigned PadClasses, unsigned MethodsPerClass);
+
+/// The points-to solver stress program, padded with \p Pad classes:
+/// 320 distinct Cell allocations linked into a ring, each seeded with
+/// its own Item, a traversal loop that smears every item set into
+/// every cell, and a closed ring of local-to-local copies (a copy-edge
+/// SCC holding a large set). The naive solver's full-set
+/// repropagation does super-linear work here that difference
+/// propagation and cycle collapsing avoid.
+WorkloadProgram solverStressWorkload(unsigned Pad);
 
 } // namespace tsl
 

@@ -17,6 +17,7 @@
 #include "support/Casting.h"
 #include "support/SourceLoc.h"
 
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -75,6 +76,21 @@ struct ExprAst {
   /// already-diagnosed error instead of a real 'null', so one parse
   /// error does not cascade into spurious type diagnostics.
   bool Recovered = false;
+  /// Levels of the tree rooted here: 1 for a leaf, one more than the
+  /// tallest operand otherwise. The parser bounds it (see Parser.cpp).
+  unsigned Height = 1;
+
+protected:
+  /// Raises Height above each of \p Kids (null operands allowed).
+  void above(std::initializer_list<const ExprAst *> Kids) {
+    for (const ExprAst *K : Kids)
+      if (K && K->Height >= Height)
+        Height = K->Height + 1;
+  }
+  void above(const std::vector<ExprAst *> &Kids) {
+    for (const ExprAst *K : Kids)
+      above({K});
+  }
 };
 
 struct IntLitExpr : ExprAst {
@@ -126,7 +142,9 @@ struct NameRefExpr : ExprAst {
 struct UnaryExpr : ExprAst {
   enum class Op { Neg, Not };
   UnaryExpr(Op O, ExprAst *Sub, SourceLoc Loc)
-      : ExprAst(ExprKind::Unary, Loc), O(O), Sub(Sub) {}
+      : ExprAst(ExprKind::Unary, Loc), O(O), Sub(Sub) {
+    above({Sub});
+  }
   Op O;
   ExprAst *Sub;
   static bool classof(const ExprAst *E) { return E->Kind == ExprKind::Unary; }
@@ -135,7 +153,9 @@ struct UnaryExpr : ExprAst {
 struct BinaryExpr : ExprAst {
   enum class Op { Add, Sub, Mul, Div, Rem, Lt, Le, Gt, Ge, Eq, Ne };
   BinaryExpr(Op O, ExprAst *LHS, ExprAst *RHS, SourceLoc Loc)
-      : ExprAst(ExprKind::Binary, Loc), O(O), LHS(LHS), RHS(RHS) {}
+      : ExprAst(ExprKind::Binary, Loc), O(O), LHS(LHS), RHS(RHS) {
+    above({LHS, RHS});
+  }
   Op O;
   ExprAst *LHS;
   ExprAst *RHS;
@@ -146,7 +166,9 @@ struct BinaryExpr : ExprAst {
 struct LogicalExpr : ExprAst {
   enum class Op { And, Or };
   LogicalExpr(Op O, ExprAst *LHS, ExprAst *RHS, SourceLoc Loc)
-      : ExprAst(ExprKind::Logical, Loc), O(O), LHS(LHS), RHS(RHS) {}
+      : ExprAst(ExprKind::Logical, Loc), O(O), LHS(LHS), RHS(RHS) {
+    above({LHS, RHS});
+  }
   Op O;
   ExprAst *LHS;
   ExprAst *RHS;
@@ -160,7 +182,9 @@ struct LogicalExpr : ExprAst {
 struct FieldAccessExpr : ExprAst {
   FieldAccessExpr(ExprAst *Base, std::string Name, SourceLoc Loc)
       : ExprAst(ExprKind::FieldAccess, Loc), Base(Base),
-        Name(std::move(Name)) {}
+        Name(std::move(Name)) {
+    above({Base});
+  }
   ExprAst *Base;
   std::string Name;
   static bool classof(const ExprAst *E) {
@@ -172,7 +196,9 @@ struct FieldAccessExpr : ExprAst {
 /// FieldAccess with name "length".
 struct IndexExpr : ExprAst {
   IndexExpr(ExprAst *Base, ExprAst *Index, SourceLoc Loc)
-      : ExprAst(ExprKind::Index, Loc), Base(Base), Index(Index) {}
+      : ExprAst(ExprKind::Index, Loc), Base(Base), Index(Index) {
+    above({Base, Index});
+  }
   ExprAst *Base;
   ExprAst *Index;
   static bool classof(const ExprAst *E) { return E->Kind == ExprKind::Index; }
@@ -182,7 +208,10 @@ struct IndexExpr : ExprAst {
 /// method, or builtin) or a FieldAccess (method call / static call).
 struct CallExprAst : ExprAst {
   CallExprAst(ExprAst *Callee, std::vector<ExprAst *> Args, SourceLoc Loc)
-      : ExprAst(ExprKind::Call, Loc), Callee(Callee), Args(std::move(Args)) {}
+      : ExprAst(ExprKind::Call, Loc), Callee(Callee), Args(std::move(Args)) {
+    above({Callee});
+    above(this->Args);
+  }
   ExprAst *Callee;
   std::vector<ExprAst *> Args;
   static bool classof(const ExprAst *E) { return E->Kind == ExprKind::Call; }
@@ -192,7 +221,9 @@ struct NewObjectExpr : ExprAst {
   NewObjectExpr(std::string ClassName, std::vector<ExprAst *> Args,
                 SourceLoc Loc)
       : ExprAst(ExprKind::NewObject, Loc), ClassName(std::move(ClassName)),
-        Args(std::move(Args)) {}
+        Args(std::move(Args)) {
+    above(this->Args);
+  }
   std::string ClassName;
   std::vector<ExprAst *> Args;
   static bool classof(const ExprAst *E) {
@@ -203,7 +234,9 @@ struct NewObjectExpr : ExprAst {
 struct NewArrayExpr : ExprAst {
   NewArrayExpr(TypeExprAst ElemType, ExprAst *Length, SourceLoc Loc)
       : ExprAst(ExprKind::NewArray, Loc), ElemType(std::move(ElemType)),
-        Length(Length) {}
+        Length(Length) {
+    above({Length});
+  }
   TypeExprAst ElemType;
   ExprAst *Length;
   static bool classof(const ExprAst *E) {
@@ -213,7 +246,9 @@ struct NewArrayExpr : ExprAst {
 
 struct CastExpr : ExprAst {
   CastExpr(TypeExprAst Target, ExprAst *Sub, SourceLoc Loc)
-      : ExprAst(ExprKind::Cast, Loc), Target(std::move(Target)), Sub(Sub) {}
+      : ExprAst(ExprKind::Cast, Loc), Target(std::move(Target)), Sub(Sub) {
+    above({Sub});
+  }
   TypeExprAst Target;
   ExprAst *Sub;
   static bool classof(const ExprAst *E) { return E->Kind == ExprKind::Cast; }
@@ -222,7 +257,9 @@ struct CastExpr : ExprAst {
 struct InstanceOfExpr : ExprAst {
   InstanceOfExpr(ExprAst *Sub, TypeExprAst Target, SourceLoc Loc)
       : ExprAst(ExprKind::InstanceOf, Loc), Sub(Sub),
-        Target(std::move(Target)) {}
+        Target(std::move(Target)) {
+    above({Sub});
+  }
   ExprAst *Sub;
   TypeExprAst Target;
   static bool classof(const ExprAst *E) {

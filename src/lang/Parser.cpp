@@ -3,10 +3,25 @@
 #include "lang/Parser.h"
 
 #include <optional>
+#include <utility>
 
 using namespace tsl;
 
 namespace {
+
+/// Nesting limit of statements and expressions. The parser recurses
+/// once per nested statement, operand, argument, prefix operator and
+/// parenthesis; lowering recurses once per AST level. Input past this
+/// many levels in either sense is rejected with one located diagnostic
+/// instead of overflowing the stack (the limit leaves room for
+/// sanitizer builds, whose frames are several times larger).
+constexpr unsigned MaxNesting = 512;
+
+/// Thrown when input exceeds MaxNesting; the enclosing method body or
+/// field initializer is reported and skipped.
+struct NestingTooDeep {
+  SourceLoc Loc;
+};
 
 /// Recursive-descent parser over a pre-lexed token buffer. Buffering
 /// the whole token stream makes backtracking (needed only for the
@@ -142,12 +157,7 @@ private:
   //===------------------------------------------------------------------===//
 
   ExprAst *parseExpr();
-  ExprAst *parseOr();
-  ExprAst *parseAnd();
-  ExprAst *parseEquality();
-  ExprAst *parseRelational();
-  ExprAst *parseAdditive();
-  ExprAst *parseMultiplicative();
+  ExprAst *parseBinary(unsigned MinPrec);
   ExprAst *parseUnary();
   ExprAst *parsePostfix();
   ExprAst *parsePrimary();
@@ -164,8 +174,40 @@ private:
     return E;
   }
 
+  //===------------------------------------------------------------------===//
+  // Nesting limit
+  //===------------------------------------------------------------------===//
+
+  /// One level of recursion into a nested statement or expression.
+  struct Nested {
+    explicit Nested(Parser &P) : P(P) {
+      if (P.Depth == MaxNesting)
+        throw NestingTooDeep{P.tok().Loc};
+      ++P.Depth;
+    }
+    ~Nested() { --P.Depth; }
+    Parser &P;
+  };
+
+  /// Operator chains grow their tree in a loop, not by recursion:
+  /// checks the chain built so far against the levels above it.
+  ExprAst *checkHeight(ExprAst *E) const {
+    if (Depth + E->Height > MaxNesting + 1)
+      throw NestingTooDeep{E->Loc};
+    return E;
+  }
+
+  void reportTooDeep(const NestingTooDeep &E) {
+    Diag.error(E.Loc, "statements and expressions nest deeper than " +
+                          std::to_string(MaxNesting) + " levels");
+  }
+
   std::vector<Token> Toks;
   size_t Pos = 0;
+  unsigned Depth = 0; ///< Nested levels open at the current token.
+  /// Highest operator precedence parseBinary may still take after an
+  /// 'instanceof' (only looser operators may follow it); ~0u otherwise.
+  unsigned PrecCap = ~0u;
   AstModule &Module;
   DiagnosticEngine &Diag;
 };
@@ -262,7 +304,14 @@ std::optional<FieldDeclAst> Parser::parseField(bool IsStatic) {
     if (!IsStatic)
       Diag.error(tok().Loc, "only static fields may have initializers; "
                             "initialize instance fields in 'init'");
-    Field.Init = parseExpr();
+    try {
+      Field.Init = parseExpr();
+    } catch (const NestingTooDeep &E) {
+      reportTooDeep(E);
+      Field.Init = nullptr;
+      recoverTo(TokKind::Semi);
+      return Field;
+    }
   }
   expect(TokKind::Semi, "after field declaration");
   return Field;
@@ -294,7 +343,22 @@ std::optional<MethodDeclAst> Parser::parseMethod(bool IsStatic) {
     Diag.error(tok().Loc, "expected method body");
     return std::nullopt;
   }
-  M.Body = parseBlock();
+  size_t BodyStart = Pos;
+  try {
+    M.Body = parseBlock();
+  } catch (const NestingTooDeep &E) {
+    // Keep the declaration (callers still resolve) without its body,
+    // and resume after the body's closing brace.
+    reportTooDeep(E);
+    M.Body = nullptr;
+    Pos = BodyStart;
+    unsigned Open = 0;
+    do {
+      Open += at(TokKind::LBrace);
+      Open -= at(TokKind::RBrace);
+      bump();
+    } while (Open && !at(TokKind::Eof));
+  }
   return M;
 }
 
@@ -382,6 +446,7 @@ BlockStmt *Parser::parseBlock() {
 }
 
 StmtAst *Parser::parseStmt() {
+  Nested Level(*this);
   SourceLoc Loc = tok().Loc;
   switch (tok().Kind) {
   case TokKind::LBrace:
@@ -524,6 +589,8 @@ StmtAst *Parser::parseFor() {
   if (!at(TokKind::RParen))
     Step = parseSimpleStmt(/*ExpectSemi=*/false);
   expect(TokKind::RParen, "after for clauses");
+  // The desugared body sits inside the while and its block.
+  Nested InWhile(*this), InBlock(*this);
   StmtAst *Body = parseStmt();
 
   std::vector<StmtAst *> LoopBody;
@@ -568,96 +635,86 @@ StmtAst *Parser::parseSimpleStmt(bool ExpectSemi) {
 // Expressions
 //===----------------------------------------------------------------------===//
 
-ExprAst *Parser::parseExpr() { return parseOr(); }
-
-ExprAst *Parser::parseOr() {
-  ExprAst *LHS = parseAnd();
-  while (at(TokKind::PipePipe)) {
-    SourceLoc Loc = tok().Loc;
-    bump();
-    ExprAst *RHS = parseAnd();
-    LHS = Module.createExpr<LogicalExpr>(LogicalExpr::Op::Or, LHS, RHS, Loc);
-  }
-  return LHS;
+ExprAst *Parser::parseExpr() {
+  Nested Level(*this);
+  ExprAst *E = parseBinary(1);
+  PrecCap = ~0u; // An 'instanceof' cap ends with its expression.
+  return E;
 }
 
-ExprAst *Parser::parseAnd() {
-  ExprAst *LHS = parseEquality();
-  while (at(TokKind::AmpAmp)) {
-    SourceLoc Loc = tok().Loc;
-    bump();
-    ExprAst *RHS = parseEquality();
-    LHS = Module.createExpr<LogicalExpr>(LogicalExpr::Op::And, LHS, RHS, Loc);
+/// Precedence of binary operator token \p K (0 for any other token)
+/// and its BinaryExpr opcode (unused for && || and instanceof). Every
+/// binary operator is left-associative.
+static std::pair<unsigned, BinaryExpr::Op> binaryOperator(TokKind K) {
+  using Op = BinaryExpr::Op;
+  switch (K) {
+  case TokKind::PipePipe:
+    return {1, Op::Eq};
+  case TokKind::AmpAmp:
+    return {2, Op::Eq};
+  case TokKind::EqEq:
+    return {3, Op::Eq};
+  case TokKind::NotEq:
+    return {3, Op::Ne};
+  case TokKind::Lt:
+    return {4, Op::Lt};
+  case TokKind::Le:
+    return {4, Op::Le};
+  case TokKind::Gt:
+    return {4, Op::Gt};
+  case TokKind::Ge:
+    return {4, Op::Ge};
+  case TokKind::KwInstanceof:
+    return {4, Op::Eq};
+  case TokKind::Plus:
+    return {5, Op::Add};
+  case TokKind::Minus:
+    return {5, Op::Sub};
+  case TokKind::Star:
+    return {6, Op::Mul};
+  case TokKind::Slash:
+    return {6, Op::Div};
+  case TokKind::Percent:
+    return {6, Op::Rem};
+  default:
+    return {0, Op::Eq};
   }
-  return LHS;
 }
 
-ExprAst *Parser::parseEquality() {
-  ExprAst *LHS = parseRelational();
-  while (at(TokKind::EqEq) || at(TokKind::NotEq)) {
-    auto Op = at(TokKind::EqEq) ? BinaryExpr::Op::Eq : BinaryExpr::Op::Ne;
-    SourceLoc Loc = tok().Loc;
-    bump();
-    ExprAst *RHS = parseRelational();
-    LHS = Module.createExpr<BinaryExpr>(Op, LHS, RHS, Loc);
-  }
-  return LHS;
-}
-
-ExprAst *Parser::parseRelational() {
-  ExprAst *LHS = parseAdditive();
+/// Precedence climbing: one frame per operand nesting level instead
+/// of one per precedence level, which keeps deep parenthesization
+/// cheap on the stack.
+ExprAst *Parser::parseBinary(unsigned MinPrec) {
+  ExprAst *LHS = parseUnary();
   while (true) {
-    if (at(TokKind::KwInstanceof)) {
-      SourceLoc Loc = tok().Loc;
-      bump();
-      auto Type = parseType();
-      if (!Type)
-        return LHS;
-      LHS = Module.createExpr<InstanceOfExpr>(LHS, std::move(*Type), Loc);
-      continue;
-    }
-    BinaryExpr::Op Op;
-    if (at(TokKind::Lt))
-      Op = BinaryExpr::Op::Lt;
-    else if (at(TokKind::Le))
-      Op = BinaryExpr::Op::Le;
-    else if (at(TokKind::Gt))
-      Op = BinaryExpr::Op::Gt;
-    else if (at(TokKind::Ge))
-      Op = BinaryExpr::Op::Ge;
-    else
+    const TokKind K = tok().Kind;
+    const auto [Prec, Op] = binaryOperator(K);
+    if (!Prec || Prec < MinPrec || Prec > PrecCap)
       return LHS;
     SourceLoc Loc = tok().Loc;
     bump();
-    ExprAst *RHS = parseAdditive();
-    LHS = Module.createExpr<BinaryExpr>(Op, LHS, RHS, Loc);
+    if (K == TokKind::KwInstanceof) {
+      // 'instanceof' takes a type, not an operand, so no tighter
+      // operator may follow it; a failed type also ends the
+      // relational operators. Only looser ones may come next.
+      if (auto Type = parseType()) {
+        LHS = checkHeight(
+            Module.createExpr<InstanceOfExpr>(LHS, std::move(*Type), Loc));
+        PrecCap = Prec;
+      } else {
+        PrecCap = Prec - 1;
+      }
+      continue;
+    }
+    PrecCap = ~0u;
+    ExprAst *RHS = parseBinary(Prec + 1);
+    if (K == TokKind::PipePipe || K == TokKind::AmpAmp)
+      LHS = checkHeight(Module.createExpr<LogicalExpr>(
+          K == TokKind::PipePipe ? LogicalExpr::Op::Or : LogicalExpr::Op::And,
+          LHS, RHS, Loc));
+    else
+      LHS = checkHeight(Module.createExpr<BinaryExpr>(Op, LHS, RHS, Loc));
   }
-}
-
-ExprAst *Parser::parseAdditive() {
-  ExprAst *LHS = parseMultiplicative();
-  while (at(TokKind::Plus) || at(TokKind::Minus)) {
-    auto Op = at(TokKind::Plus) ? BinaryExpr::Op::Add : BinaryExpr::Op::Sub;
-    SourceLoc Loc = tok().Loc;
-    bump();
-    ExprAst *RHS = parseMultiplicative();
-    LHS = Module.createExpr<BinaryExpr>(Op, LHS, RHS, Loc);
-  }
-  return LHS;
-}
-
-ExprAst *Parser::parseMultiplicative() {
-  ExprAst *LHS = parseUnary();
-  while (at(TokKind::Star) || at(TokKind::Slash) || at(TokKind::Percent)) {
-    BinaryExpr::Op Op = at(TokKind::Star)    ? BinaryExpr::Op::Mul
-                        : at(TokKind::Slash) ? BinaryExpr::Op::Div
-                                             : BinaryExpr::Op::Rem;
-    SourceLoc Loc = tok().Loc;
-    bump();
-    ExprAst *RHS = parseUnary();
-    LHS = Module.createExpr<BinaryExpr>(Op, LHS, RHS, Loc);
-  }
-  return LHS;
 }
 
 ExprAst *Parser::tryParseCast() {
@@ -727,6 +784,7 @@ ExprAst *Parser::tryParseCast() {
     return nullptr;
   }
   bump(); // )
+  Nested Level(*this);
   ExprAst *Sub = parseUnary();
   return Module.createExpr<CastExpr>(std::move(Type), Sub, Loc);
 }
@@ -736,6 +794,7 @@ ExprAst *Parser::parseUnary() {
     auto Op = at(TokKind::Bang) ? UnaryExpr::Op::Not : UnaryExpr::Op::Neg;
     SourceLoc Loc = tok().Loc;
     bump();
+    Nested Level(*this);
     ExprAst *Sub = parseUnary();
     return Module.createExpr<UnaryExpr>(Op, Sub, Loc);
   }
@@ -748,6 +807,7 @@ ExprAst *Parser::parseUnary() {
 ExprAst *Parser::parsePostfix() {
   ExprAst *E = parsePrimary();
   while (true) {
+    checkHeight(E);
     if (accept(TokKind::Dot)) {
       if (!at(TokKind::Ident)) {
         Diag.error(tok().Loc, "expected member name after '.'");

@@ -107,17 +107,12 @@ std::string digest(const CompileOptions &O) {
   return D;
 }
 
-// ParallelFrontier is part of the PTA digest — its round-granularity
-// visit order assigns different (equivalent) object/context ids than
-// the per-pop loop, so the two modes are distinct artifacts. The Pool
-// pointer and the session thread count are NOT digested: pool size
-// never changes any artifact's bytes.
+// The session thread count is NOT digested: it only sizes the slice
+// batch pool, which never changes any artifact's bytes.
 std::string digest(const PTAOptions &O) {
   std::ostringstream OS;
   OS << "objsens=" << O.ObjSensContainers << ";depth=" << O.MaxObjSensDepth
-     << ";delta=" << O.DeltaPropagation << ";cyc=" << O.CycleElimination
-     << ";policy=" << static_cast<unsigned>(O.Policy)
-     << ";pf=" << O.ParallelFrontier << ";containers=";
+     << ";containers=";
   for (const std::string &C : O.ContainerClasses)
     OS << C << ',';
   return OS.str();
@@ -514,7 +509,6 @@ bool AnalysisSession::trySetSourceIncremental(const std::string &NewSource) {
         SReq.DeadInstrs = Req.DeadInstrs;
         SDGOptions Opts = CurSdg;
         Opts.Budget = nullptr;
-        Opts.Pool = nullptr;
         if (!patchSDGIncremental(*Graph, *LivePta, SReq, Opts)) {
           StageFallback("sdg", "patch declined", SessionStage::SDGBuild);
           Keep = false;
@@ -842,7 +836,6 @@ PointsToResult *AnalysisSession::pointsTo() {
   auto T0 = std::chrono::steady_clock::now();
   PTAOptions Opts = CurPta;
   Opts.Budget = Budget;
-  Opts.Pool = pool();
   bool Tainted = false;
   auto R = computeStage("pta", Budget, LastErr, StageFailures, StageRetries,
                         Tainted, [&] { return runPointsTo(*P, Opts); });
@@ -891,8 +884,8 @@ ModRefResult *AnalysisSession::modRef() {
   bool Tainted = false;
   auto R = computeStage("modref", Budget, LastErr, StageFailures,
                         StageRetries, Tainted, [&] {
-                          return std::make_unique<ModRefResult>(
-                              *Prog, *PTA, Budget, pool());
+                          return std::make_unique<ModRefResult>(*Prog, *PTA,
+                                                                Budget);
                         });
   C.Seconds += secondsSince(T0);
   if (!R)
@@ -931,7 +924,6 @@ SDG *AnalysisSession::sdg() {
   auto T0 = std::chrono::steady_clock::now();
   SDGOptions Opts = CurSdg;
   Opts.Budget = Budget;
-  Opts.Pool = pool();
   bool Tainted = false;
   auto R = computeStage("sdg", Budget, LastErr, StageFailures, StageRetries,
                         Tainted, [&] { return buildSDG(*Prog, *PTA, MR, Opts); });

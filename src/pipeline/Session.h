@@ -153,15 +153,15 @@ public:
   /// (the compiled program survives: compilation is ungoverned).
   void setBudget(const AnalysisBudget *B);
 
-  /// Sets the analysis concurrency: the total number of threads
+  /// Sets the slice-batch concurrency: the total number of threads
   /// (including the calling one) the shared pool offers to the
-  /// parallel stages. 0 means hardware concurrency; 1 runs every
-  /// stage inline with no pool at all. Unlike the option setters this
-  /// re-keys NOTHING — every parallel stage produces byte-identical
-  /// artifacts for every thread count, so a cached artifact stays
-  /// valid across setThreads calls (asserted by the determinism
-  /// tests). Pools already handed to cached engines stay alive until
-  /// the session dies.
+  /// SliceEngine. The analysis stages always run sequentially. 0
+  /// means hardware concurrency; 1 runs batches inline with no pool
+  /// at all. Unlike the option setters this re-keys NOTHING — batch
+  /// results are byte-identical for every thread count, so a cached
+  /// artifact stays valid across setThreads calls (asserted by the
+  /// determinism tests). Pools already handed to cached engines stay
+  /// alive until the session dies.
   void setThreads(unsigned N) { Threads = N; }
   unsigned threads() const { return Threads; }
 

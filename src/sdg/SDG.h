@@ -557,8 +557,6 @@ private:
   }
 };
 
-class ThreadPool;
-
 /// SDG construction options.
 struct SDGOptions {
   /// Build the context-sensitive representation: heap formal/actual
@@ -574,14 +572,6 @@ struct SDGOptions {
   /// and the heap-edge cap / deadline replaces the remaining precise
   /// pairwise heap wiring with coarse per-field hub nodes.
   const AnalysisBudget *Budget = nullptr;
-  /// Optional worker pool (not owned). Per-procedure PDG work —
-  /// control dependences and intraprocedural edge lists — is computed
-  /// in parallel over read-only state; node and edge *insertion* (the
-  /// id-assigning steps) and all interprocedural/heap wiring stay
-  /// sequential on the calling thread, so the graph — ids, CSR
-  /// layout, everything — is byte-identical for every pool size
-  /// including none.
-  ThreadPool *Pool = nullptr;
 };
 
 /// Builds the dependence graph, finalized into the CSR query form.

@@ -22,7 +22,6 @@
 #include "modref/ModRef.h"
 #include "pta/PointsTo.h"
 #include "sdg/SDG.h"
-#include "support/ThreadPool.h"
 
 #include <cassert>
 #include <chrono>
@@ -38,13 +37,6 @@ namespace {
 struct Clone {
   const Method *M;
   unsigned Ctx;
-};
-
-/// One intraprocedural edge computed by the parallel phase, inserted
-/// by the sequential phase.
-struct PendingEdge {
-  unsigned From, To;
-  SDGEdgeKind K;
 };
 
 /// One heap access of a clone (see buildHeapCI / buildHeapCoarse).
@@ -78,14 +70,14 @@ class Builder {
 public:
   Builder(const Program &P, const PointsToResult &PTA,
           const ModRefResult *MR, const SDGOptions &Opts)
-      : PTA(PTA), MR(MR), Opts(Opts), Pool(Opts.Pool),
-        Owned(std::make_unique<SDG>(P)), G(Owned.get()) {
+      : PTA(PTA), MR(MR), Opts(Opts), Owned(std::make_unique<SDG>(P)),
+        G(Owned.get()) {
     (void)P;
   }
 
   /// Patch mode: adopts an existing graph instead of building one.
   Builder(SDG &Existing, const PointsToResult &PTA, const SDGOptions &Opts)
-      : PTA(PTA), MR(nullptr), Opts(Opts), Pool(nullptr), G(&Existing) {}
+      : PTA(PTA), MR(nullptr), Opts(Opts), G(&Existing) {}
 
   std::unique_ptr<SDG> run(const Program &P);
   bool patch(const Program &P, const SDGPatchRequest &Req);
@@ -93,8 +85,7 @@ public:
 private:
   void collectClones(const Program &P, BudgetGate &Gate);
   void addIntraNodes(const Clone &C);
-  void computeIntraEdges(const Clone &C, const ControlDeps &CD,
-                         std::vector<PendingEdge> &Out) const;
+  void addIntraEdges(const Clone &C);
   void buildIntra();
   void buildScalarCallsCI();
   void buildHeapCI(BudgetGate &Gate);
@@ -113,7 +104,6 @@ private:
   const PointsToResult &PTA;
   const ModRefResult *MR;
   SDGOptions Opts;
-  ThreadPool *Pool = nullptr;
   /// Owning handle in build mode; null in patch mode.
   std::unique_ptr<SDG> Owned;
   SDG *G;
@@ -195,14 +185,15 @@ void Builder::addIntraNodes(const Clone &C) {
       G->addStmtNode(I.get(), C.M, C.Ctx);
 }
 
-/// Pure per-clone edge computation: resolves every intraprocedural
-/// dependence of clone \p C against the completed statement-node
-/// index (read-only) into \p Out, in the exact order the sequential
-/// builder inserted them. Safe to run concurrently across clones.
-void Builder::computeIntraEdges(const Clone &C, const ControlDeps &CD,
-                                std::vector<PendingEdge> &Out) const {
+/// Flow, base-flow and control edges inside clone \p C. Every endpoint
+/// is a statement node of the same clone, so the clone's nodes must
+/// exist already.
+void Builder::addIntraEdges(const Clone &C) {
   const Method *M = C.M;
   unsigned Ctx = C.Ctx;
+  auto Node = [&](const Instr *I) {
+    return static_cast<unsigned>(G->nodeFor(I, Ctx));
+  };
 
   // SSA flow dependences, classified by operand role. Call operands
   // are wired through parameter edges instead (paper Sec. 5.1), with
@@ -210,14 +201,11 @@ void Builder::computeIntraEdges(const Clone &C, const ControlDeps &CD,
   // dependence.
   for (const auto &BB : M->blocks()) {
     for (const auto &I : BB->instrs()) {
-      unsigned To = static_cast<unsigned>(G->nodeFor(I.get(), Ctx));
+      unsigned To = Node(I.get());
       if (const auto *Call = dyn_cast<CallInstr>(I.get())) {
-        if (Call->isVirtual()) {
-          const Instr *RecvDef = Call->receiver()->def();
-          if (RecvDef)
-            Out.push_back({static_cast<unsigned>(G->nodeFor(RecvDef, Ctx)),
-                           To, SDGEdgeKind::Control});
-        }
+        if (Call->isVirtual())
+          if (const Instr *RecvDef = Call->receiver()->def())
+            G->addEdge(Node(RecvDef), To, SDGEdgeKind::Control);
         continue;
       }
       for (unsigned OpIdx = 0; OpIdx != I->numOperands(); ++OpIdx) {
@@ -227,13 +215,14 @@ void Builder::computeIntraEdges(const Clone &C, const ControlDeps &CD,
         SDGEdgeKind K = I->operandRole(OpIdx) == OperandRole::Value
                             ? SDGEdgeKind::Flow
                             : SDGEdgeKind::BaseFlow;
-        Out.push_back({static_cast<unsigned>(G->nodeFor(Def, Ctx)), To, K});
+        G->addEdge(Node(Def), To, K);
       }
     }
   }
 
   // Control dependences: every statement depends on the terminators of
   // its controlling blocks.
+  const ControlDeps &CD = controlDeps(M);
   for (const auto &BB : M->blocks()) {
     std::vector<const Instr *> Branches;
     for (unsigned Controller : CD.controllers(BB->id()))
@@ -242,57 +231,20 @@ void Builder::computeIntraEdges(const Clone &C, const ControlDeps &CD,
     if (Branches.empty())
       continue;
     for (const auto &I : BB->instrs()) {
-      unsigned To = static_cast<unsigned>(G->nodeFor(I.get(), Ctx));
+      unsigned To = Node(I.get());
       for (const Instr *Br : Branches)
-        Out.push_back({static_cast<unsigned>(G->nodeFor(Br, Ctx)), To,
-                       SDGEdgeKind::Control});
+        G->addEdge(Node(Br), To, SDGEdgeKind::Control);
     }
   }
 }
 
-/// Statement nodes and intraprocedural edges for every clone, in
-/// three phases: sequential node insertion in clone order (fixes node
-/// ids), parallel per-method control dependences and per-clone edge
-/// lists (pure reads of the node index), sequential edge insertion in
-/// clone order (fixes edge ids). Interleaving node and edge insertion
-/// per clone — what the old one-pass builder did — assigns the same
-/// ids, because node and edge id spaces are independent; the graph is
-/// byte-identical either way, for every pool size.
+/// Statement nodes and intraprocedural edges for every clone: all
+/// nodes first, in clone order, then each clone's edges.
 void Builder::buildIntra() {
   for (const Clone &C : Clones)
     addIntraNodes(C);
-
-  // Unique methods in first-clone order; dominator trees are per
-  // method, not per clone.
-  std::vector<const Method *> Methods;
   for (const Clone &C : Clones)
-    if (CDCache.emplace(C.M, nullptr).second)
-      Methods.push_back(C.M);
-  std::vector<std::unique_ptr<ControlDeps>> CDs(Methods.size());
-  auto ComputeCD = [&](std::size_t I) {
-    CDs[I] = std::make_unique<ControlDeps>(*Methods[I]);
-  };
-  std::vector<std::vector<PendingEdge>> PerClone(Clones.size());
-  auto ComputeEdges = [&](std::size_t I) {
-    computeIntraEdges(Clones[I], controlDeps(Clones[I].M), PerClone[I]);
-  };
-  if (Pool && Pool->numWorkers()) {
-    Pool->parallelFor(Methods.size(), ComputeCD);
-    for (std::size_t I = 0; I != Methods.size(); ++I)
-      CDCache[Methods[I]] = std::move(CDs[I]);
-    Pool->parallelFor(Clones.size(), ComputeEdges);
-  } else {
-    for (std::size_t I = 0; I != Methods.size(); ++I)
-      ComputeCD(I);
-    for (std::size_t I = 0; I != Methods.size(); ++I)
-      CDCache[Methods[I]] = std::move(CDs[I]);
-    for (std::size_t I = 0; I != Clones.size(); ++I)
-      ComputeEdges(I);
-  }
-
-  for (const std::vector<PendingEdge> &Edges : PerClone)
-    for (const PendingEdge &E : Edges)
-      G->addEdge(E.From, E.To, E.K);
+    addIntraEdges(C);
 }
 
 void Builder::wireCallEdge(const CallInstr *Call, unsigned CallerCtx,
@@ -756,10 +708,7 @@ bool Builder::patch(const Program &P, const SDGPatchRequest &Req) {
   for (const Clone &C : Clones) {
     if (Gate.spend())
       return false;
-    std::vector<PendingEdge> Pending;
-    computeIntraEdges(C, controlDeps(C.M), Pending);
-    for (const PendingEdge &E : Pending)
-      G->addEdge(E.From, E.To, E.K);
+    addIntraEdges(C);
   }
 
   // 5. Scalar call wiring for every call edge with an affected

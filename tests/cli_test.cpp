@@ -198,6 +198,45 @@ TEST_F(CliTest, ZeroAndTrailingGarbageRejected) {
       << Out;
 }
 
+TEST_F(CliTest, RemovedSolverAndJobsFlagsAreUsageErrors) {
+  for (const char *Flag : {"--pta-naive", "--pta-no-delta",
+                           "--pta-no-cycle-elim", "--pta-worklist fifo",
+                           "--jobs 2"}) {
+    int Status = 0;
+    std::string Out = run(std::string("--line 15 ") + Flag, &Status);
+    EXPECT_EQ(exitCode(Status), 2) << Flag << "\n" << Out;
+    EXPECT_NE(Out.find("usage:"), std::string::npos) << Flag << "\n" << Out;
+  }
+  int Status = 0;
+  std::string Out = run("--line 15 --threads 2", &Status);
+  EXPECT_EQ(exitCode(Status), 0) << Out;
+  EXPECT_NE(Out.find("thin slice from line 15"), std::string::npos) << Out;
+}
+
+TEST_F(CliTest, TooDeeplyNestedInputExitsOne) {
+  std::string Chain = "1";
+  for (int I = 1; I != 200000; ++I)
+    Chain += " + 1";
+  std::string Ifs;
+  for (int I = 0; I != 100000; ++I)
+    Ifs += "if (x == 0) {\n";
+  Ifs += std::string(100000, '}');
+  for (const std::string &Body :
+       {"print(" + std::string(10000, '(') + "1" + std::string(10000, ')') +
+            ");",
+        "var x = 0;\n" + Ifs, "print(" + Chain + ");"}) {
+    std::ofstream F(Program);
+    F << "def main() {\n" << Body << "\n}\n";
+    F.close();
+    int Status = 0;
+    std::string Out = run("", &Status);
+    EXPECT_EQ(exitCode(Status), 1) << Out.substr(0, 500);
+    EXPECT_NE(Out.find(": error: statements and expressions nest deeper"),
+              std::string::npos)
+        << Out.substr(0, 500);
+  }
+}
+
 TEST_F(CliTest, NegativeIntInputAccepted) {
   int Status = 0;
   run("--run --int -1", &Status);

@@ -7,7 +7,7 @@
 // warms a session, applies its edit, and compares canonical artifact
 // signatures and rendered slices against the cold rebuild — at
 // threads 1 and 4, since the update path must compose with the
-// parallel stages.
+// session's batch pool.
 //
 // Eligible edits (body-only changes, including bodies inside a
 // call-graph SCC) must take the fast path and reuse every untouched

@@ -1,7 +1,7 @@
 //===-- parallel_test.cpp - Cross-thread-count determinism tests ----------------==//
 //
-// The hard requirement of the parallel pipeline (DESIGN.md section
-// 11): every artifact — points-to sets, mod-ref sets, the SDG, batch
+// The hard requirement of the session pool (DESIGN.md section 11):
+// every artifact — points-to sets, mod-ref sets, the SDG, batch
 // slices, and the eval tables — is byte-identical for every thread
 // count. Each fixture computes full signatures at threads ∈ {1, 2, 8}
 // and compares the bytes. The suite carries the "parallel" ctest
@@ -21,7 +21,6 @@
 #include "sdg/SDGDot.h"
 #include "slicer/Engine.h"
 #include "slicer/Slicer.h"
-#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -135,7 +134,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDeterminism,
                          ::testing::Values(3u, 7u, 23u));
 
 // The context-sensitive cone too: heap formal/actual wiring consumes
-// the mod-ref sets the parallel SCC waves computed.
+// the mod-ref sets.
 TEST(ParallelDeterminism, ContextSensitiveSdgIsByteIdentical) {
   const std::string Source = generateRandomProgram(11);
   std::string Base;
@@ -152,70 +151,6 @@ TEST(ParallelDeterminism, ContextSensitiveSdgIsByteIdentical) {
     else
       EXPECT_EQ(Base, Dot) << "threads=" << Threads;
   }
-}
-
-// The parallel-frontier points-to mode: byte-identical for every pool
-// size (none, 2, 8). Its round-granularity visit order is a different
-// (equivalent) id assignment than the sequential per-pop loop, which
-// is why PTAOptions::ParallelFrontier participates in the session
-// digest — here we assert the pool size does NOT matter.
-TEST(ParallelDeterminism, ParallelFrontierSolverIsPoolSizeInvariant) {
-  DiagnosticEngine Diag;
-  const std::string Source = generateRandomProgram(5);
-  std::unique_ptr<Program> P = compileThinJ(Source, Diag);
-  ASSERT_NE(P, nullptr) << Diag.str();
-
-  std::string Base;
-  for (unsigned Threads : ThreadCounts) {
-    std::unique_ptr<ThreadPool> Pool;
-    if (Threads > 1)
-      Pool = std::make_unique<ThreadPool>(Threads);
-    PTAOptions Opts;
-    Opts.ParallelFrontier = true;
-    Opts.Pool = Pool.get();
-    std::unique_ptr<PointsToResult> PTA = runPointsTo(*P, Opts);
-    std::ostringstream OS;
-    OS << ptaSignature(*P, *PTA);
-    const SolverStats &St = PTA->stats();
-    OS << "pops=" << St.WorklistPops << ";props=" << St.Propagations
-       << ";nochange=" << St.NoChangePropagations
-       << ";cycles=" << St.CyclesCollapsed << ";merged=" << St.NodesMerged;
-    if (Base.empty())
-      Base = OS.str();
-    else
-      EXPECT_EQ(Base, OS.str()) << "threads=" << Threads;
-  }
-}
-
-// Both solver modes must agree on everything observable at the source
-// level: slices do not mention visit-order ids, so the thin slices of
-// every print statement must match line-for-line.
-TEST(ParallelDeterminism, ParallelFrontierSlicesMatchSequentialSolver) {
-  const std::string Source = generateRandomProgram(13);
-  std::string Sigs[2];
-  for (int PF = 0; PF != 2; ++PF) {
-    AnalysisSession S(Source);
-    ASSERT_NE(S.program(), nullptr);
-    PTAOptions PO;
-    PO.ParallelFrontier = PF != 0;
-    S.setPTAOptions(PO);
-    std::ostringstream OS;
-    for (const Instr *Seed : printSeeds(*S.program())) {
-      const SliceResult *R = S.sliceBackwardCached(Seed, SliceMode::Thin);
-      ASSERT_NE(R, nullptr);
-      // Sorted: sourceLines() follows node-id order, and the two
-      // solver modes assign different (equivalent) ids.
-      std::vector<unsigned> Lines;
-      for (const SourceLine &L : R->sourceLines())
-        Lines.push_back(L.Line);
-      std::sort(Lines.begin(), Lines.end());
-      for (unsigned L : Lines)
-        OS << L << " ";
-      OS << "\n";
-    }
-    Sigs[PF] = OS.str();
-  }
-  EXPECT_EQ(Sigs[0], Sigs[1]);
 }
 
 // Eval tables: the paper-table drivers run their whole pipeline under

@@ -1,5 +1,6 @@
 //===-- pta_test.cpp - Points-to analysis unit tests ----------------------------==//
 
+#include "eval/Experiments.h"
 #include "eval/Workload.h"
 #include "lang/Lower.h"
 #include "pta/PointsTo.h"
@@ -324,15 +325,15 @@ TEST(PointsTo, ConstraintNodeCountIsPositive) {
 }
 
 //===----------------------------------------------------------------------===//
-// Differential solver testing: every optimization combination must
-// produce results identical to the naive full-set FIFO solver.
+// Differential solver testing: the production solver must reach the
+// same fixpoint as the naive full-set FIFO reference solver.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
 /// Stable per-program instruction names (object/context ids are
 /// assigned in solver-visit order, so raw ids cannot be compared
-/// across solver configurations).
+/// across solvers).
 std::unordered_map<const Instr *, std::string> nameSites(const Program &P) {
   std::unordered_map<const Instr *, std::string> Names;
   for (const auto &M : P.methods()) {
@@ -400,70 +401,53 @@ CanonicalResult canonicalize(const Program &P, const PointsToResult &R) {
   return Out;
 }
 
-struct SolverConfig {
-  bool Delta;
-  bool CycleElim;
-  WorklistPolicy Policy;
-  std::string name() const {
-    std::string N = Delta ? "delta" : "full";
-    N += CycleElim ? "+lcd" : "";
-    N += Policy == WorklistPolicy::FIFO ? "+fifo"
-         : Policy == WorklistPolicy::LRF ? "+lrf"
-                                         : "+topo";
-    return N;
-  }
-};
-
-std::vector<SolverConfig> allSolverConfigs() {
-  std::vector<SolverConfig> Out;
-  for (bool Delta : {false, true})
-    for (bool CE : {false, true})
-      for (WorklistPolicy Pol :
-           {WorklistPolicy::FIFO, WorklistPolicy::LRF, WorklistPolicy::Topo})
-        Out.push_back({Delta, CE, Pol});
-  return Out;
-}
-
-void expectAllConfigsAgree(const std::string &CaseId,
-                           const std::string &Source) {
+/// Runs both solvers on \p Source and compares their canonical
+/// results; returns the production run's stats.
+SolverStats expectMatchesReference(const std::string &CaseId,
+                                   const std::string &Source) {
   DiagnosticEngine Diag;
   std::unique_ptr<Program> P = compileThinJ(Source, Diag);
-  ASSERT_NE(P, nullptr) << CaseId << ": " << Diag.str();
-
-  PTAOptions NaiveOpts;
-  NaiveOpts.DeltaPropagation = false;
-  NaiveOpts.CycleElimination = false;
-  NaiveOpts.Policy = WorklistPolicy::FIFO;
-  std::unique_ptr<PointsToResult> Naive = runPointsTo(*P, NaiveOpts);
-  CanonicalResult Base = canonicalize(*P, *Naive);
-
-  for (const SolverConfig &C : allSolverConfigs()) {
-    PTAOptions Opts;
-    Opts.DeltaPropagation = C.Delta;
-    Opts.CycleElimination = C.CycleElim;
-    Opts.Policy = C.Policy;
-    std::unique_ptr<PointsToResult> R = runPointsTo(*P, Opts);
-    CanonicalResult Got = canonicalize(*P, *R);
-
-    EXPECT_EQ(Base.Pts, Got.Pts)
-        << CaseId << " [" << C.name() << "]: merged points-to sets differ";
-    EXPECT_EQ(Base.CGEdges, Got.CGEdges)
-        << CaseId << " [" << C.name() << "]: call graph edges differ";
-    EXPECT_EQ(Base.Casts, Got.Casts)
-        << CaseId << " [" << C.name() << "]: cast verdicts differ";
-  }
+  EXPECT_NE(P, nullptr) << CaseId << ": " << Diag.str();
+  if (!P)
+    return {};
+  CanonicalResult Ref =
+      canonicalize(*P, *runPointsToReference(*P, PTAOptions()));
+  std::unique_ptr<PointsToResult> R = runPointsTo(*P);
+  CanonicalResult Got = canonicalize(*P, *R);
+  EXPECT_EQ(Ref.Pts, Got.Pts) << CaseId << ": merged points-to sets differ";
+  EXPECT_EQ(Ref.CGEdges, Got.CGEdges) << CaseId << ": call graph edges differ";
+  EXPECT_EQ(Ref.Casts, Got.Casts) << CaseId << ": cast verdicts differ";
+  return R->stats();
 }
 
 } // namespace
 
 TEST(PointsToDifferential, DebuggingWorkloads) {
   for (const BugCase &Case : debuggingCases())
-    expectAllConfigsAgree(Case.Id, Case.Prog.Source);
+    expectMatchesReference(Case.Id, Case.Prog.Source);
 }
 
 TEST(PointsToDifferential, ToughCastWorkloads) {
   for (const CastCase &Case : toughCastCases())
-    expectAllConfigsAgree(Case.Id, Case.Prog.Source);
+    expectMatchesReference(Case.Id, Case.Prog.Source);
+}
+
+// bench_pta_solver's input: the copy ring must actually collapse, or
+// the comparison would not cover cycle elimination.
+TEST(PointsToDifferential, SolverStressWorkload) {
+  for (unsigned Pad : {0u, 8u}) {
+    SolverStats S = expectMatchesReference(
+        "solver-stress+pad" + std::to_string(Pad),
+        solverStressWorkload(Pad).Source);
+    EXPECT_GT(S.CyclesCollapsed, 0u) << "pad " << Pad;
+    EXPECT_GT(S.NodesMerged, 0u) << "pad " << Pad;
+  }
+}
+
+TEST(PointsToDifferential, PaddedDebuggingWorkload) {
+  const BugCase Case = debuggingCases().front();
+  expectMatchesReference(Case.Id + "+pad12",
+                         padWorkload(Case.Prog, "PD", 12, 6).Source);
 }
 
 TEST(PointsToDifferential, StatsAreCoherent) {

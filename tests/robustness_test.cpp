@@ -115,6 +115,61 @@ TEST(Robustness, DeepExpression) {
   compileAnything("def main() { print(" + Expr + "); }");
 }
 
+// Input nested past the parser's fixed limit gets one located
+// diagnostic instead of overflowing the stack in the parser, lowering
+// or the SSA walks. Each shape below crashed the compiler before.
+namespace {
+void expectNestingRejected(const std::string &Source, unsigned Line) {
+  DiagnosticEngine Diag;
+  EXPECT_EQ(compileThinJ(Source, Diag), nullptr);
+  ASSERT_EQ(Diag.errorCount(), 1u) << Diag.str();
+  const Diagnostic &D = Diag.diagnostics().front();
+  EXPECT_NE(D.Message.find("nest deeper than"), std::string::npos)
+      << D.Message;
+  EXPECT_EQ(D.Loc.Line, Line);
+}
+} // namespace
+
+TEST(Robustness, TenThousandNestedParenthesesAreRejected) {
+  expectNestingRejected("def main() {\n  print(" + std::string(10000, '(') +
+                            "1" + std::string(10000, ')') + ");\n}\n",
+                        2);
+}
+
+TEST(Robustness, HundredThousandNestedIfsAreRejected) {
+  std::string Source = "def main() {\n  var x = 0;\n";
+  for (int I = 0; I != 100000; ++I)
+    Source += "  if (x == 0) {\n";
+  for (int I = 0; I != 100000; ++I)
+    Source += "  }\n";
+  Source += "  print(x);\n}\n";
+  // Each `if` with its block is two levels; line 3 holds the first.
+  expectNestingRejected(Source, 3 + 512 / 2 - 1);
+}
+
+TEST(Robustness, LongAdditionChainIsRejected) {
+  // A left-deep spine built by the parser's loop, not its recursion.
+  std::string Chain = "1";
+  for (int I = 1; I != 200000; ++I)
+    Chain += " + 1";
+  expectNestingRejected("def main() {\n  print(" + Chain + ");\n}\n", 2);
+}
+
+TEST(Robustness, NestingRejectionKeepsTheRestOfTheFile) {
+  // The too-deep body is skipped; later declarations still parse and
+  // the method itself stays declared, so no error cascades from it.
+  DiagnosticEngine Diag;
+  std::string Source = "def deep(): int {\n  return " +
+                       std::string(600, '(') + "1" +
+                       std::string(600, ')') +
+                       ";\n}\ndef main() {\n  print(deep());\n  "
+                       "var s = ;\n}\n";
+  EXPECT_EQ(compileThinJ(Source, Diag), nullptr);
+  ASSERT_EQ(Diag.errorCount(), 2u) << Diag.str();
+  EXPECT_EQ(Diag.diagnostics()[0].Loc.Line, 2u);
+  EXPECT_EQ(Diag.diagnostics()[1].Loc.Line, 6u);
+}
+
 TEST(Robustness, ManyLocalsAndBlocks) {
   std::string Source = "def main() {\n";
   for (int I = 0; I != 500; ++I)

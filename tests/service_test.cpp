@@ -245,6 +245,28 @@ TEST_F(ServiceTest, CompileFailureIsReportedAndQueryable) {
   EXPECT_EQ(Slice.Code, ServiceStatus::Error);
 }
 
+TEST_F(ServiceTest, TooDeeplyNestedLoadIsAnErrorAndTheDaemonKeepsServing) {
+  startServer();
+  ServiceClient C;
+  connect(C);
+  std::string Source = runtimeLibrarySource() + "def main() {\n  print(";
+  Source += std::string(10000, '(') + "1" + std::string(10000, ')');
+  Source += ");\n}\n";
+  ServiceResponse Load;
+  Status S = C.loadSource(Source, false, runtimeLibraryLines(), false, Load);
+  ASSERT_TRUE(S.isOk()) << S.str();
+  EXPECT_EQ(Load.Code, ServiceStatus::Error);
+  EXPECT_NE(Load.Detail.find("nest deeper"), std::string::npos) << Load.Detail;
+
+  // Same connection, next request: a normal load and slice.
+  std::string Id = loadDefault(C);
+  ServiceResponse Resp;
+  ASSERT_TRUE(C.slice(Id, 6, SliceMode::Thin, Resp).isOk());
+  ASSERT_EQ(Resp.Code, ServiceStatus::Ok) << Resp.Detail;
+  EXPECT_EQ(Resp.Body,
+            expectedSlice(fullSource(kProgram), 6, SliceMode::Thin, false));
+}
+
 TEST_F(ServiceTest, UnknownSessionAndMissingSeedAreBadRequests) {
   startServer();
   ServiceClient C;

@@ -81,22 +81,16 @@ struct CliOptions {
   /// Batched slicing: a file of seed line numbers, fanned out over a
   /// worker pool.
   std::string SeedsFile;
-  /// Analysis concurrency for every parallel stage (PDG construction,
-  /// mod-ref waves, batched slicing): total threads including the
-  /// main one. 0 = hardware_concurrency; 1 = fully sequential, no
-  /// pool. Set by --threads, or by its deprecated alias --jobs.
+  /// Threads for slice batches, including the main one; the analysis
+  /// stages run sequentially. 0 = hardware_concurrency; 1 = no pool.
+  /// Set by --threads.
   unsigned Threads = 0;
-  bool JobsAliasUsed = false;
   /// Warm-session REPL: answer repeated `slice <line>` queries against
   /// one AnalysisSession.
   bool Interactive = false;
   bool DumpIR = false;
   bool Stats = false;
   bool PtaStats = false;
-  bool PtaNaive = false;
-  bool PtaNoDelta = false;
-  bool PtaNoCycleElim = false;
-  WorklistPolicy PtaPolicy = PTAOptions().Policy;
   bool Why = false;
   bool NoRuntime = false;
   std::string DotFile;
@@ -142,9 +136,7 @@ void usage() {
           "                 [--expand] [--context-sensitive] [--no-objsens]\n"
           "                 [--run] [--in STR]... [--int N]...\n"
           "                 [--dot FILE] [--dump-ir] [--stats] [--why]\n"
-          "                 [--no-runtime] [--pta-stats] [--pta-naive]\n"
-          "                 [--pta-no-delta] [--pta-no-cycle-elim]\n"
-          "                 [--pta-worklist fifo|lrf|topo]\n"
+          "                 [--no-runtime] [--pta-stats]\n"
           "                 [--budget-ms N] [--max-sdg-nodes N]\n"
           "                 [--max-slice-stmts N] [--strict-budget]\n"
           "                 [--fault POINT[:N][:throw|:stall][:once],...\n"
@@ -194,12 +186,11 @@ bool parseArgs(int argc, char **argv, CliOptions &Opts) {
       Opts.SeedsFile = V;
     } else if (Arg == "--interactive") {
       Opts.Interactive = true;
-    } else if (Arg == "--threads" || Arg == "--jobs") {
+    } else if (Arg == "--threads") {
       uint64_t N;
-      if (!parsePositive(Arg.c_str(), Next(), N))
+      if (!parsePositive("--threads", Next(), N))
         return false;
       Opts.Threads = static_cast<unsigned>(N);
-      Opts.JobsAliasUsed = Arg == "--jobs";
     } else if (Arg == "--chop") {
       uint64_t N;
       if (!parsePositive("--chop", Next(), N))
@@ -251,24 +242,6 @@ bool parseArgs(int argc, char **argv, CliOptions &Opts) {
       Opts.Stats = true;
     } else if (Arg == "--pta-stats") {
       Opts.PtaStats = true;
-    } else if (Arg == "--pta-naive") {
-      Opts.PtaNaive = true;
-    } else if (Arg == "--pta-no-delta") {
-      Opts.PtaNoDelta = true;
-    } else if (Arg == "--pta-no-cycle-elim") {
-      Opts.PtaNoCycleElim = true;
-    } else if (Arg == "--pta-worklist") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      if (strcmp(V, "fifo") == 0)
-        Opts.PtaPolicy = WorklistPolicy::FIFO;
-      else if (strcmp(V, "lrf") == 0)
-        Opts.PtaPolicy = WorklistPolicy::LRF;
-      else if (strcmp(V, "topo") == 0)
-        Opts.PtaPolicy = WorklistPolicy::Topo;
-      else
-        return false;
     } else if (Arg == "--why") {
       Opts.Why = true;
     } else if (Arg == "--no-runtime") {
@@ -807,9 +780,6 @@ int runTool(int argc, char **argv) {
   AnalysisSession Session(std::move(Source));
   Session.setBudget(B);
   Session.setIncremental(Opts.Incremental);
-  if (Opts.JobsAliasUsed)
-    fprintf(stderr,
-            "warning: --jobs is deprecated, use --threads (same meaning)\n");
   Session.setThreads(Opts.Threads);
   Program *P = Session.program();
   if (!P) {
@@ -854,12 +824,6 @@ int runTool(int argc, char **argv) {
 
   PTAOptions PtaOpts;
   PtaOpts.ObjSensContainers = !Opts.NoObjSens;
-  PtaOpts.DeltaPropagation = !Opts.PtaNoDelta && !Opts.PtaNaive;
-  PtaOpts.CycleElimination = !Opts.PtaNoCycleElim && !Opts.PtaNaive;
-  if (Opts.PtaNaive)
-    PtaOpts.Policy = WorklistPolicy::FIFO;
-  else
-    PtaOpts.Policy = Opts.PtaPolicy;
   Session.setPTAOptions(PtaOpts);
 
   SDGOptions SdgOpts;
