@@ -13,8 +13,7 @@
 #include "eval/Experiments.h"
 #include "eval/Workload.h"
 #include "pipeline/Session.h"
-#include "slicer/Expansion.h"
-#include "slicer/Slicer.h"
+#include "slicer/Engine.h"
 
 #include "BenchGuard.h"
 
@@ -32,7 +31,6 @@ namespace {
 struct Built {
   std::unique_ptr<AnalysisSession> S;
   Program *P = nullptr;
-  PointsToResult *PTA = nullptr;
   SDG *G = nullptr;
   const Instr *Seed = nullptr;
   unsigned BugLine = 0;
@@ -47,7 +45,6 @@ Built &builtOnce() {
         continue;
       Out.S = std::make_unique<AnalysisSession>(Case.Prog.Source);
       Out.P = Out.S->program();
-      Out.PTA = Out.S->pointsTo();
       Out.G = Out.S->sdg();
       Out.Seed = instrAtLine(*Out.P, Case.Prog.markerLine(Case.SeedMarker));
       Out.BugLine = Case.Prog.markerLine(Case.DesiredMarkers.front());
@@ -57,12 +54,19 @@ Built &builtOnce() {
   return B;
 }
 
+/// The thin slice of the seed grown by \p Depth aliasing levels.
+SliceResult aliasSlice(SliceEngine &E, const Built &B, unsigned Depth) {
+  SliceQuery Q = SliceQuery::of(B.Seed, SliceMode::Thin);
+  Q.AliasDepth = Depth;
+  return E.run(Q).front();
+}
+
 void BM_AliasDepth(benchmark::State &State) {
   Built &B = builtOnce();
-  ThinExpansion Exp(*B.G, *B.PTA);
+  SliceEngine E(*B.G);
   unsigned Depth = static_cast<unsigned>(State.range(0));
   for (auto _ : State) {
-    SliceResult S = Exp.thinSliceWithAliasDepth(B.Seed, Depth);
+    SliceResult S = aliasSlice(E, B, Depth);
     benchmark::DoNotOptimize(S);
   }
 }
@@ -73,7 +77,7 @@ BENCHMARK(BM_AliasDepth)->DenseRange(0, 4)->Unit(benchmark::kMicrosecond);
 int main(int argc, char **argv) {
   printf("=== Thin Slicing reproduction: aliasing-hierarchy ablation ===\n\n");
   Built &B = builtOnce();
-  ThinExpansion Exp(*B.G, *B.PTA);
+  SliceEngine E(*B.G);
   SliceResult Trad = sliceBackward(*B.G, B.Seed, SliceMode::Traditional);
   SourceLine Bug = sourceLineAt(*B.P, B.BugLine);
 
@@ -81,7 +85,7 @@ int main(int argc, char **argv) {
          Trad.sourceLines().size());
   printf("alias-depth  slice-lines  contains-bug\n");
   for (unsigned Depth = 0; Depth <= 4; ++Depth) {
-    SliceResult S = Exp.thinSliceWithAliasDepth(B.Seed, Depth);
+    SliceResult S = aliasSlice(E, B, Depth);
     printf("%11u %12zu %13s\n", Depth, S.sourceLines().size(),
            S.containsLine(Bug.M, Bug.Line) ? "yes" : "no");
   }

@@ -15,8 +15,8 @@
 #include "lang/Lower.h"
 #include "pta/PointsTo.h"
 #include "sdg/SDG.h"
+#include "slicer/Engine.h"
 #include "slicer/Expansion.h"
-#include "slicer/Slicer.h"
 
 #include <cstdio>
 
@@ -62,7 +62,9 @@ int main() {
     printf("  line %u: %s\n", C->loc().Line, C->str(*P).c_str());
 
   // In the limit, expansion recovers the traditional slice (Sec. 2).
-  SliceResult Full = Exp.expandToTraditional(OpenRead);
+  SliceQuery Expand = SliceQuery::of(OpenRead, SliceMode::Thin);
+  Expand.AliasDepth = SliceQuery::ExpandToFixpoint;
+  SliceResult Full = SliceEngine(*G).run(Expand).front();
   SliceResult Trad = sliceBackward(*G, OpenRead, SliceMode::Traditional);
   printf("\nfully expanded thin slice: %u statements; traditional slice: "
          "%u statements; equal: %s\n",

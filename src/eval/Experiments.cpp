@@ -120,36 +120,40 @@ InspectionQuery makeQuery(const Program &P, const WorkloadProgram &W,
   return Q;
 }
 
+/// \p Q answered by the session's query path; a failure is a broken
+/// workload.
+const std::vector<SliceResult> &sessionQuery(AnalysisSession &S,
+                                             const SliceQuery &Q) {
+  const std::vector<SliceResult> *R = S.query(Q);
+  if (!R)
+    throw std::runtime_error("slice query failed: " + S.lastError().str());
+  return *R;
+}
+
 /// Fills InspectionRow::ThinSliceStmts/TradSliceStmts for a set of
-/// (engine, seed, row) triples with one batch per engine and mode —
-/// the Tables 2/3 batched-query path. The engines are session-owned,
-/// so their SCC condensations are built once per workload and reused
-/// across table drivers.
+/// (session, seed, row) triples with one batched query per session
+/// and mode — the Tables 2/3 batched-query path. The sessions are
+/// process-wide, so their engines' SCC condensations are built once
+/// per workload and reused across table drivers.
 struct SliceSizeRequest {
-  SliceEngine *E;
+  AnalysisSession *S;
   const Instr *Seed;
   std::size_t RowIdx;
 };
 
 void fillSliceSizes(std::vector<InspectionRow> &Rows,
                     const std::vector<SliceSizeRequest> &Requests) {
-  std::map<SliceEngine *, std::vector<const SliceSizeRequest *>> ByEngine;
+  std::map<AnalysisSession *, std::vector<const SliceSizeRequest *>> BySession;
   for (const SliceSizeRequest &R : Requests)
     if (R.Seed)
-      ByEngine[R.E].push_back(&R);
-  for (const auto &[Engine, Reqs] : ByEngine) {
-    std::vector<const Instr *> Seeds;
-    Seeds.reserve(Reqs.size());
+      BySession[R.S].push_back(&R);
+  for (const auto &[S, Reqs] : BySession) {
+    SliceQuery Q;
     for (const SliceSizeRequest *R : Reqs)
-      Seeds.push_back(R->Seed);
-    BatchOptions Thin;
-    Thin.Mode = SliceMode::Thin;
-    std::vector<SliceResult> ThinSlices =
-        Engine->sliceBackwardBatch(Seeds, Thin);
-    BatchOptions Trad;
-    Trad.Mode = SliceMode::Traditional;
-    std::vector<SliceResult> TradSlices =
-        Engine->sliceBackwardBatch(Seeds, Trad);
+      Q.Seeds.push_back(R->Seed);
+    const std::vector<SliceResult> &ThinSlices = sessionQuery(*S, Q);
+    Q.Mode = SliceMode::Traditional;
+    const std::vector<SliceResult> &TradSlices = sessionQuery(*S, Q);
     for (std::size_t I = 0; I != Reqs.size(); ++I) {
       Rows[Reqs[I]->RowIdx].ThinSliceStmts = ThinSlices[I].sizeStmts();
       Rows[Reqs[I]->RowIdx].TradSliceStmts = TradSlices[I].sizeStmts();
@@ -302,7 +306,7 @@ tsl::runDebuggingExperiment(InspectionStrategy Strategy) {
     SDG &GNoObj = noObjSdg(S);
     SDG &G = objSdg(S);
     SliceSizes.push_back(
-        {S.engine(), instrAtLine(P, Case.Prog.markerLine(Case.SeedMarker)),
+        {&S, instrAtLine(P, Case.Prog.markerLine(Case.SeedMarker)),
          Rows.size()});
     InspectionRow Row;
     Row.Id = Case.Id;
@@ -367,7 +371,7 @@ tsl::runToughCastExperiment(InspectionStrategy Strategy) {
       Rows.push_back(Row);
       continue;
     }
-    SliceSizes.push_back({S.engine(), Seed, Rows.size()});
+    SliceSizes.push_back({&S, Seed, Rows.size()});
 
     auto Run = [&](const SDG &OnG, SliceMode Mode) {
       InspectionQuery Q;
@@ -442,13 +446,13 @@ tsl::runScalability(const std::vector<unsigned> &PadSizes) {
     (void)Thin;
     (void)Trad;
 
-    // Multi-seed throughput at this size: sequential legacy slicing
-    // vs one engine batch over the same seed set.
+    // Multi-seed throughput at this size: sequential single-seed
+    // queries vs one engine batch over the same seed set.
     std::vector<const Instr *> Seeds = collectSliceSeeds(*P, 16);
     ThroughputRow TP =
         runSliceThroughput(*CI, Seeds, SliceMode::Thin, /*Jobs=*/1);
     Row.BatchSeeds = TP.Seeds;
-    Row.SeqLegacyMs = TP.SeqLegacyMs;
+    Row.SeqMs = TP.SeqMs;
     Row.BatchMs = TP.BatchMs;
 
     // Mod-ref untimed (as before): precomputing it through the session
@@ -478,8 +482,8 @@ tsl::runScalability(const std::vector<unsigned> &PadSizes) {
 
 std::vector<AblationRow> tsl::runContextAblation() {
   std::vector<AblationRow> Rows;
-  // Both graph variants, both engines, and the tabulation summaries
-  // come from the per-workload session: the summary cache keys by
+  // Both graph variants and the tabulation summaries come from the
+  // per-workload session's query path: the summary cache keys by
   // (graph epoch, mode), so the second and third nanoxml case reuse
   // the first one's tabulation — and a Tables 2/3 run earlier in the
   // process already paid for the compile, points-to, and CI graph.
@@ -490,25 +494,17 @@ std::vector<AblationRow> tsl::runContextAblation() {
     AnalysisSession &S = sessionFor(Case.Prog);
     Program &P = *S.program();
     SDG &CI = objSdg(S);
-    SliceEngine *CIEngine = S.engine();
+    const Instr *Seed = instrAtLine(P, Case.Prog.markerLine(Case.SeedMarker));
+    const SliceQuery Q = SliceQuery::of(Seed, SliceMode::Traditional);
+    SliceResult CISlice = sessionQuery(S, Q).front();
     SDGOptions CSOpts;
     CSOpts.ContextSensitive = true;
     S.setSDGOptions(CSOpts);
-    SliceEngine *CSEngine = S.engine();
+    SliceResult CSSlice = sessionQuery(S, Q).front();
     S.setSDGOptions(SDGOptions());
-
-    const Instr *Seed = instrAtLine(P, Case.Prog.markerLine(Case.SeedMarker));
 
     AblationRow Row;
     Row.Id = Case.Id;
-    BatchOptions CIOpts;
-    CIOpts.Mode = SliceMode::Traditional;
-    SliceResult CISlice = CIEngine->sliceBackwardBatch({Seed}, CIOpts).front();
-    BatchOptions CSOpts2;
-    CSOpts2.Mode = SliceMode::Traditional;
-    CSOpts2.ContextSensitive = true;
-    CSOpts2.Summaries = &S.summaries();
-    SliceResult CSSlice = CSEngine->sliceBackwardBatch({Seed}, CSOpts2).front();
     // Compare in source lines: the two representations clone
     // statements differently, lines are the common currency.
     Row.CITradSliceStmts =
@@ -516,19 +512,19 @@ std::vector<AblationRow> tsl::runContextAblation() {
     Row.CSTradSliceStmts =
         static_cast<unsigned>(CSSlice.sourceLines().size());
 
-    InspectionQuery Q = makeQuery(P, Case.Prog, Case.SeedMarker,
-                                  SliceMode::Traditional,
-                                  Case.DesiredMarkers, Case.NumControl,
-                                  Case.PivotMarkers, false);
-    Row.CIBfs = simulateInspection(CI, Q).InspectedStatements;
+    InspectionQuery IQ = makeQuery(P, Case.Prog, Case.SeedMarker,
+                                   SliceMode::Traditional,
+                                   Case.DesiredMarkers, Case.NumControl,
+                                   Case.PivotMarkers, false);
+    Row.CIBfs = simulateInspection(CI, IQ).InspectedStatements;
     // BFS with the same discipline but restricted to statements the
     // context-sensitive slice retains: the traversal distance barely
     // changes even though the slice shrinks (the paper's observation).
     std::unordered_set<const Instr *> Allowed;
     for (const Instr *I : CSSlice.statements())
       Allowed.insert(I);
-    Q.RestrictStmts = &Allowed;
-    Row.CSBfs = simulateInspection(CI, Q).InspectedStatements;
+    IQ.RestrictStmts = &Allowed;
+    Row.CSBfs = simulateInspection(CI, IQ).InspectedStatements;
     Rows.push_back(Row);
   }
   return Rows;
@@ -576,13 +572,11 @@ ThroughputRow tsl::runSliceThroughput(const SDG &G,
   // condensation, so the timed passes measure the steady-state regime
   // the queries/sec comparison is about (every path warms equally).
   for (const Instr *Seed : Seeds)
-    sliceBackwardLegacy(G, Seed, Mode);
-  for (const Instr *Seed : Seeds)
     sliceBackward(G, Seed, Mode);
   Engine.sliceBackwardBatch(Seeds, Opts);
 
   // Several timed passes per configuration, run as contiguous blocks
-  // (all legacy passes, then all CSR passes, then all batch passes) and
+  // (all sequential passes, then all batch passes) and
   // keeping each configuration's fastest. Contiguous blocks measure
   // each path's steady state — interleaving the configurations would
   // charge whichever runs second for the cache lines its predecessor
@@ -590,14 +584,7 @@ ThroughputRow tsl::runSliceThroughput(const SDG &G,
   // shared machine, where one scheduler blip would otherwise dominate
   // a sub-millisecond measurement.
   constexpr int Passes = 8;
-  Row.SeqLegacyMs = Row.SeqMs = Row.BatchMs =
-      std::numeric_limits<double>::infinity();
-  for (int P = 0; P != Passes; ++P) {
-    auto T0 = std::chrono::steady_clock::now();
-    for (const Instr *Seed : Seeds)
-      sliceBackwardLegacy(G, Seed, Mode);
-    Row.SeqLegacyMs = std::min(Row.SeqLegacyMs, msSince(T0));
-  }
+  Row.SeqMs = Row.BatchMs = std::numeric_limits<double>::infinity();
   for (int P = 0; P != Passes; ++P) {
     auto T1 = std::chrono::steady_clock::now();
     for (const Instr *Seed : Seeds)
@@ -610,7 +597,6 @@ ThroughputRow tsl::runSliceThroughput(const SDG &G,
     Row.BatchMs = std::min(Row.BatchMs, msSince(T2));
   }
   Row.UniqueSeeds = Engine.stats().UniqueQueries;
-  Row.Speedup = Row.BatchMs > 0 ? Row.SeqLegacyMs / Row.BatchMs : 0;
   return Row;
 }
 
@@ -674,14 +660,14 @@ std::string tsl::formatScalability(const std::vector<ScalabilityRow> &Rows) {
       "Scalability sweep (nanoxml + padding)\n"
       "pad  sdg-stmts  pta-ms  ci-build-ms  thin-slice-ms  trad-slice-ms  "
       "cs-build-ms  cs-heap-nodes  summary-ms  summary-edges  "
-      "seeds  seq-legacy-ms  batch-ms\n";
+      "seeds  seq-csr-ms  batch-ms\n";
   for (const ScalabilityRow &R : Rows) {
     snprintf(Buf, sizeof(Buf),
              "%3u %10u %7.1f %12.1f %14.3f %14.3f %12.1f %14u %11.1f %14u "
-             "%6u %14.3f %9.3f\n",
+             "%6u %11.3f %9.3f\n",
              R.PadClasses, R.SDGStmts, R.PTAMs, R.CIBuildMs, R.ThinSliceMs,
              R.TradSliceMs, R.CSBuildMs, R.CSHeapParamNodes, R.SummaryMs,
-             R.SummaryEdges, R.BatchSeeds, R.SeqLegacyMs, R.BatchMs);
+             R.SummaryEdges, R.BatchSeeds, R.SeqMs, R.BatchMs);
     Out += Buf;
   }
   return Out;

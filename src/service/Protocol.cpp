@@ -61,14 +61,13 @@ std::vector<uint8_t> tsl::encodeRequest(const ServiceRequest &R) {
     if (R.Type == ServiceMsg::LoadSnapshot)
       W.str(R.Path);
     break;
-  case ServiceMsg::Slice:
+  case ServiceMsg::Query:
     W.str(R.SessionId);
-    W.vu32(R.Lines.empty() ? 0 : R.Lines.front());
+    W.u8(static_cast<uint8_t>(R.Direction));
     W.u8(R.Mode == SliceMode::Traditional ? 1 : 0);
-    break;
-  case ServiceMsg::BatchSlice:
-    W.str(R.SessionId);
-    W.u8(R.Mode == SliceMode::Traditional ? 1 : 0);
+    W.vu32(R.AliasDepth);
+    W.vu32(R.ChopSink);
+    W.u8(R.Batch ? 1 : 0);
     W.vu32(static_cast<uint32_t>(R.Lines.size()));
     for (uint32_t L : R.Lines)
       W.vu32(L);
@@ -116,24 +115,23 @@ Status tsl::decodeRequest(const std::vector<uint8_t> &Payload,
         Req.Path = R.str();
       break;
     }
-    case ServiceMsg::Slice: {
+    case ServiceMsg::Query: {
       Req.SessionId = R.str();
-      Req.Lines.push_back(R.vu32());
+      uint8_t Dir = R.u8();
+      if (Dir > static_cast<uint8_t>(SliceDirection::Chop))
+        return badFrame("unknown slice direction " + std::to_string(Dir));
+      Req.Direction = static_cast<SliceDirection>(Dir);
       uint8_t M = R.u8();
       if (M > 1)
         FlagOk = false;
       Req.Mode = M ? SliceMode::Traditional : SliceMode::Thin;
-      break;
-    }
-    case ServiceMsg::BatchSlice: {
-      Req.SessionId = R.str();
-      uint8_t M = R.u8();
-      if (M > 1)
-        FlagOk = false;
-      Req.Mode = M ? SliceMode::Traditional : SliceMode::Thin;
+      Req.AliasDepth = R.vu32();
+      Req.ChopSink = R.vu32();
+      FlagOk = readFlag(R, Req.Batch) && FlagOk;
       uint32_t N = R.vu32();
-      if (N == 0 || N > 100000)
-        return badFrame("batch of " + std::to_string(N) + " seeds");
+      if (N == 0 || N > 100000 || (!Req.Batch && N != 1))
+        return badFrame(std::string(Req.Batch ? "batch" : "query") + " of " +
+                        std::to_string(N) + " seeds");
       Req.Lines.reserve(N);
       for (uint32_t I = 0; I != N; ++I)
         Req.Lines.push_back(R.vu32());

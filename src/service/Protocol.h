@@ -44,7 +44,8 @@
 namespace tsl {
 
 /// Version byte leading every payload; bump on any wire change.
-constexpr uint8_t ServiceProtocolVersion = 1;
+/// Version 2 replaced the Slice and BatchSlice messages with Query.
+constexpr uint8_t ServiceProtocolVersion = 2;
 
 /// Hard cap on one frame's payload. Large enough for any real source
 /// file or rendered batch, small enough that a hostile length prefix
@@ -55,12 +56,11 @@ constexpr uint32_t MaxServiceFrameBytes = 8u << 20; // 8 MiB
 enum class ServiceMsg : uint8_t {
   LoadSource = 1,   ///< Warm (or reuse) a session for a source text.
   LoadSnapshot = 2, ///< LoadSource + warm-start from a snapshot file.
-  Slice = 3,        ///< One backward slice on a warm session.
-  BatchSlice = 4,   ///< N backward slices, engine-batched.
-  Edit = 5,         ///< Replace a session's source (incremental path).
-  Stats = 6,        ///< Session + server telemetry.
-  Ping = 7,         ///< Health check; optional server-side delay.
-  Shutdown = 8,     ///< Ask the daemon to drain and exit.
+  Query = 3,        ///< Any slice kind on a warm session, 1..N seeds.
+  Edit = 4,         ///< Replace a session's source (incremental path).
+  Stats = 5,        ///< Session + server telemetry.
+  Ping = 6,         ///< Health check; optional server-side delay.
+  Shutdown = 7,     ///< Ask the daemon to drain and exit.
 };
 
 /// Response status codes: the thinslice exit codes, plus Retry.
@@ -81,13 +81,19 @@ struct ServiceRequest {
   ServiceMsg Type = ServiceMsg::Ping;
   std::string Source;    ///< LoadSource/LoadSnapshot/Edit: full text.
   std::string Path;      ///< LoadSnapshot: daemon-local snapshot file.
-  std::string SessionId; ///< Slice/BatchSlice/Edit/Stats.
-  std::vector<uint32_t> Lines; ///< Slice (one) / BatchSlice (many).
-  uint32_t LineOffset = 0;     ///< Runtime-prefix lines in Source.
-  SliceMode Mode = SliceMode::Thin;
+  std::string SessionId; ///< Query/Edit/Stats.
+  uint32_t LineOffset = 0;       ///< Runtime-prefix lines in Source.
   bool ContextSensitive = false; ///< Session flavor (part of its key).
   bool Incremental = false;      ///< Enable the incremental edit path.
   uint32_t DelayMs = 0;          ///< Ping: server-side busy time.
+  // Query: a SliceQuery with seeds and sink as user-file lines (the
+  // session flavor decides context sensitivity).
+  std::vector<uint32_t> Lines; ///< One seed, or many for Batch.
+  SliceDirection Direction = SliceDirection::Backward;
+  SliceMode Mode = SliceMode::Thin;
+  uint32_t AliasDepth = 0; ///< SliceQuery::AliasDepth.
+  uint32_t ChopSink = 0;   ///< Chop: the sink line.
+  bool Batch = false;      ///< Answer under "=== seed line N ===" headers.
 };
 
 /// One decoded response.

@@ -19,10 +19,10 @@
 ///  - Mutating requests (load, edit, stats — anything that touches
 ///    session accessors, which memoize) hold the entry's lock
 ///    exclusively.
-///  - Slice requests hold it shared and never call into the session:
-///    they read the warm pointers and run the slicers directly over
-///    the finalized SDG, which is immutable and safe for concurrent
-///    traversal (the batch engine's workers rely on the same
+///  - Query requests hold it shared and never call into the session:
+///    they read the warm pointers and run a request-local SliceEngine
+///    directly over the finalized SDG, which is immutable and safe for
+///    concurrent traversal (the engine's workers rely on the same
 ///    guarantee). Context-sensitive queries go through the session's
 ///    SummaryCache, which is itself thread-safe.
 ///

@@ -4,7 +4,6 @@
 
 #include "slicer/Engine.h"
 #include "slicer/Report.h"
-#include "slicer/Tabulation.h"
 #include "support/Budget.h"
 
 #include <cerrno>
@@ -230,10 +229,8 @@ ServiceResponse SliceServer::handle(const ServiceRequest &Req) {
   case ServiceMsg::LoadSource:
   case ServiceMsg::LoadSnapshot:
     return handleLoad(Req);
-  case ServiceMsg::Slice:
-    return handleSlice(Req);
-  case ServiceMsg::BatchSlice:
-    return handleBatchSlice(Req);
+  case ServiceMsg::Query:
+    return handleQuery(Req);
   case ServiceMsg::Edit:
     return handleEdit(Req);
   case ServiceMsg::Stats:
@@ -299,85 +296,60 @@ bool entryUsable(const WarmSession &E, ServiceResponse &Resp) {
 
 } // namespace
 
-ServiceResponse SliceServer::handleSlice(const ServiceRequest &Req) {
+ServiceResponse SliceServer::handleQuery(const ServiceRequest &Req) {
   auto E = Registry.find(Req.SessionId);
   if (!E)
     return {ServiceStatus::BadRequest, "",
             "unknown session '" + Req.SessionId + "' (load-source first)"};
 
-  // Readers share the session: concurrent slices run in parallel over
+  // Readers share the session: concurrent queries run in parallel over
   // the immutable finalized SDG while an edit waits for exclusivity.
   std::shared_lock<std::shared_mutex> L(E->Mu);
   ServiceResponse Bad;
   if (!entryUsable(*E, Bad))
     return Bad;
 
-  unsigned UserLine = Req.Lines.empty() ? 0 : Req.Lines.front();
-  const Instr *Seed = seedAtLine(*E->Prog, UserLine + E->LineOffset);
-  if (!Seed)
-    return {ServiceStatus::BadRequest, "",
-            noStatementMessage(*E->Prog, UserLine, E->LineOffset)};
-
-  RequestBudget RB(O.RequestBudgetMs);
-  SliceResult Slice(nullptr, BitSet());
-  if (E->ContextSensitive) {
-    // The session's SummaryCache is thread-safe, so shared-lock
-    // readers may consult (and populate) it concurrently; summaries
-    // depend only on (graph epoch, mode), which the exclusive edit
-    // path bumps.
-    TabulationSlicer Tab(*E->Graph, Req.Mode, RB.B, &E->S->summaries());
-    Slice = Tab.slice(Seed);
-  } else {
-    Slice = sliceBackward(*E->Graph, Seed, Req.Mode, RB.B);
-  }
-
-  ServiceResponse Resp;
-  Resp.Code = Slice.complete() ? ServiceStatus::Ok : ServiceStatus::Degraded;
-  Resp.Body = renderSliceReport(
-      Slice, sliceKindName(Req.Mode, E->ContextSensitive), UserLine,
-      E->LineOffset);
-  Resp.Detail = Slice.complete() ? "" : Slice.degradedReason();
-  return Resp;
-}
-
-ServiceResponse SliceServer::handleBatchSlice(const ServiceRequest &Req) {
-  auto E = Registry.find(Req.SessionId);
-  if (!E)
-    return {ServiceStatus::BadRequest, "",
-            "unknown session '" + Req.SessionId + "' (load-source first)"};
-
-  std::shared_lock<std::shared_mutex> L(E->Mu);
-  ServiceResponse Bad;
-  if (!entryUsable(*E, Bad))
-    return Bad;
-
-  std::vector<const Instr *> Seeds;
-  Seeds.reserve(Req.Lines.size());
-  for (uint32_t UserLine : Req.Lines) {
+  SliceQuery Q;
+  Q.Direction = Req.Direction;
+  Q.Mode = Req.Mode;
+  Q.ContextSensitive = E->ContextSensitive;
+  Q.AliasDepth = Req.AliasDepth;
+  std::vector<uint32_t> Lines = Req.Lines;
+  if (Q.Direction == SliceDirection::Chop)
+    Lines.push_back(Req.ChopSink);
+  for (uint32_t UserLine : Lines) {
     const Instr *Seed = seedAtLine(*E->Prog, UserLine + E->LineOffset);
     if (!Seed)
       return {ServiceStatus::BadRequest, "",
               noStatementMessage(*E->Prog, UserLine, E->LineOffset)};
-    Seeds.push_back(Seed);
+    Q.Seeds.push_back(Seed);
   }
+  if (Q.Direction == SliceDirection::Chop) {
+    Q.ChopSink = Q.Seeds.back();
+    Q.Seeds.pop_back();
+  }
+  if (std::string Why = Q.conflict(); !Why.empty())
+    return {ServiceStatus::BadRequest, "", Why};
 
-  RequestBudget RB(O.RequestBudgetMs);
-  // A request-local engine over the shared immutable graph: batches
+  // A request-local engine over the shared immutable graph: queries
   // from concurrent clients stay independent (each runs inline on its
-  // own pool lane; the request fan-out IS the parallelism).
+  // own pool lane; the request fan-out IS the parallelism). The
+  // session's SummaryCache is thread-safe, so shared-lock readers may
+  // consult (and populate) it concurrently; summaries depend only on
+  // (graph epoch, mode), which the exclusive edit path bumps.
+  RequestBudget RB(O.RequestBudgetMs);
   SliceEngine Engine(*E->Graph, nullptr);
-  BatchOptions BO;
-  BO.Mode = Req.Mode;
-  BO.ContextSensitive = E->ContextSensitive;
-  BO.Jobs = 1;
-  BO.Budget = RB.B;
-  BO.Summaries = E->ContextSensitive ? &E->S->summaries() : nullptr;
-  std::vector<SliceResult> Results = Engine.sliceBackwardBatch(Seeds, BO);
+  QueryOptions QO;
+  QO.Jobs = 1;
+  QO.Budget = RB.B;
+  QO.Summaries = E->ContextSensitive ? &E->S->summaries() : nullptr;
+  std::vector<SliceResult> Results = Engine.run(Q, QO);
 
   ServiceResponse Resp;
-  const char *What = sliceKindName(Req.Mode, E->ContextSensitive);
+  const std::string What = sliceQueryName(Q);
   for (std::size_t I = 0; I != Results.size(); ++I) {
-    Resp.Body += "=== seed line " + std::to_string(Req.Lines[I]) + " ===\n";
+    if (Req.Batch)
+      Resp.Body += "=== seed line " + std::to_string(Req.Lines[I]) + " ===\n";
     Resp.Body += renderSliceReport(Results[I], What, Req.Lines[I],
                                    E->LineOffset);
     if (!Results[I].complete() && Resp.Code == ServiceStatus::Ok) {

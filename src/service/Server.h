@@ -128,8 +128,7 @@ private:
   void connectionLoop(Conn &C);
   ServiceResponse handle(const ServiceRequest &Req);
   ServiceResponse handleLoad(const ServiceRequest &Req);
-  ServiceResponse handleSlice(const ServiceRequest &Req);
-  ServiceResponse handleBatchSlice(const ServiceRequest &Req);
+  ServiceResponse handleQuery(const ServiceRequest &Req);
   ServiceResponse handleEdit(const ServiceRequest &Req);
   ServiceResponse handleStats(const ServiceRequest &Req);
   void reapFinishedConnections();

@@ -37,7 +37,7 @@ SliceResult ThinExpansion::filteredThinSlice(const Local *L,
   const Instr *Def = L->def();
   if (!Def)
     return SliceResult(&G, BitSet());
-  SliceResult Full = sliceBackward(G, Def, SliceMode::Thin);
+  SliceResult Full = sliceBackward(G, Def, SliceMode::Thin, B);
 
   // Keep statements that handle one of the common objects: their
   // defined value, the value they store, or — for parameter passing —
@@ -63,7 +63,10 @@ SliceResult ThinExpansion::filteredThinSlice(const Local *L,
         PTA.pointsTo(Val).intersects(Common))
       Kept.insert(Node);
   });
-  return SliceResult(&G, std::move(Kept));
+  SliceResult Out(&G, std::move(Kept));
+  if (!Full.complete())
+    Out.markDegraded(Full.degradedReason());
+  return Out;
 }
 
 SliceResult ThinExpansion::explainAliasing(const Instr *Write,
@@ -86,7 +89,7 @@ SliceResult ThinExpansion::explainIndices(const Instr *Write,
     const Local *Idx = indexOf(I);
     if (!Idx || !Idx->def())
       continue;
-    Out.unionWith(sliceBackward(G, Idx->def(), SliceMode::Thin));
+    Out.unionWith(sliceBackward(G, Idx->def(), SliceMode::Thin, B));
   }
   return Out;
 }
@@ -106,72 +109,4 @@ ThinExpansion::controlExplainers(const Instr *S) const {
       Out.push_back(From.I);
   }
   return Out;
-}
-
-SliceResult ThinExpansion::thinSliceWithAliasDepth(const Instr *Seed,
-                                                   unsigned Depth) const {
-  BudgetGate Gate(B, "expand.round", B ? B->MaxExpansionRounds : 0);
-  SliceResult Acc = sliceBackward(G, Seed, SliceMode::Thin, B);
-  for (unsigned Level = 0; Level != Depth; ++Level) {
-    if (Gate.spend()) {
-      Acc.markDegraded(Gate.reason());
-      break;
-    }
-    // Base pointers of heap accesses currently in the slice.
-    std::vector<unsigned> BaseDefs;
-    Acc.nodeSet().forEach([&](unsigned Node) {
-      const SDGNode &N = G.node(Node);
-      if (!N.isStmt() || !basePointerOf(N.I))
-        return;
-      for (unsigned EdgeId : G.inEdges(Node)) {
-        const SDGEdge &E = G.edge(EdgeId);
-        if (E.K == SDGEdgeKind::BaseFlow && !Acc.containsNode(E.From))
-          BaseDefs.push_back(E.From);
-      }
-    });
-    if (BaseDefs.empty())
-      break;
-    bool Changed = false;
-    for (unsigned Node : BaseDefs)
-      if (!Acc.containsNode(Node)) {
-        Acc.unionWith(sliceBackwardNodes(G, {Node}, SliceMode::Thin, B));
-        Changed = true;
-      }
-    if (!Changed)
-      break;
-  }
-  return Acc;
-}
-
-SliceResult ThinExpansion::expandToTraditional(const Instr *Seed) const {
-  BudgetGate Gate(B, "expand.round", B ? B->MaxExpansionRounds : 0);
-  SliceResult Acc = sliceBackward(G, Seed, SliceMode::Thin, B);
-  bool Changed = true;
-  while (Changed) {
-    if (Gate.spend()) {
-      Acc.markDegraded(Gate.reason());
-      break;
-    }
-    Changed = false;
-    // Collect explainer sources (base-pointer flow and control) of the
-    // current slice, then absorb their thin slices. Expansion is
-    // node-level: explaining a statement clone must not pull in the
-    // chains of its other contexts.
-    std::vector<unsigned> Explainers;
-    Acc.nodeSet().forEach([&](unsigned Node) {
-      for (unsigned EdgeId : G.inEdges(Node)) {
-        const SDGEdge &E = G.edge(EdgeId);
-        if ((E.K == SDGEdgeKind::BaseFlow || E.K == SDGEdgeKind::Control) &&
-            !Acc.containsNode(E.From))
-          Explainers.push_back(E.From);
-      }
-    });
-    for (unsigned Node : Explainers) {
-      if (!Acc.containsNode(Node)) {
-        Acc.unionWith(sliceBackwardNodes(G, {Node}, SliceMode::Thin, B));
-        Changed = true;
-      }
-    }
-  }
-  return Acc;
 }

@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Expansion of thin slices with explainer statements (paper Section
-/// 4): aliasing explanations via two additional thin slices restricted
-/// to objects flowing to both base pointers (Question 1, Sec. 4.1),
-/// exposure of controlling conditionals (Question 2, Sec. 4.2), and
-/// the fixpoint expansion that recovers the traditional slice in the
-/// limit (Sec. 2).
+/// Explainer statements for thin slices (paper Section 4): aliasing
+/// explanations via two additional thin slices restricted to objects
+/// flowing to both base pointers (Question 1, Sec. 4.1) and exposure
+/// of controlling conditionals (Question 2, Sec. 4.2). The aliasing
+/// hierarchy and the fixpoint expansion that recovers the traditional
+/// slice in the limit (Sec. 2) are SliceQuery::AliasDepth levels,
+/// answered by SliceEngine.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,9 +26,9 @@ namespace tsl {
 /// Expansion queries against one SDG + points-to result.
 class ThinExpansion {
 public:
-  /// When \p Budget is exhausted, expansion stops at the depth/round
-  /// reached and the accumulated slice is returned marked Degraded
-  /// (a subset of the full expansion: accumulation is monotone).
+  /// \p Budget governs the explainers' thin slices: on exhaustion a
+  /// slice is returned partial and marked Degraded (a subset of the
+  /// unbudgeted answer).
   ThinExpansion(const SDG &G, const PointsToResult &PTA,
                 const AnalysisBudget *Budget = nullptr)
       : G(G), PTA(PTA), B(Budget) {}
@@ -49,22 +50,6 @@ public:
   /// pair, the extra question "how can the indices be equal?" is
   /// answered by thin slices on the index expressions.
   SliceResult explainIndices(const Instr *Write, const Instr *Read) const;
-
-  /// Thin slice of \p Seed with \p Depth levels of aliasing exposure:
-  /// at each level, the base pointers of the heap accesses currently
-  /// in the slice are explained with one more round of thin slices
-  /// (the hierarchy of paper Section 4.1; Depth 0 is the plain thin
-  /// slice, the paper's nanoxml-5 configuration is Depth 1, and large
-  /// depths approach the data-dependence part of the traditional
-  /// slice).
-  SliceResult thinSliceWithAliasDepth(const Instr *Seed,
-                                      unsigned Depth) const;
-
-  /// Repeatedly expands the thin slice of \p Seed with explainer
-  /// statements (aliasing and control) and their thin slices until a
-  /// fixpoint. Equals the traditional slice — the paper's "in the
-  /// limit" claim, checked by property tests.
-  SliceResult expandToTraditional(const Instr *Seed) const;
 
 private:
   /// The base-pointer local of a heap access (base for field ops,

@@ -133,6 +133,19 @@ const char *tsl::sliceKindName(SliceMode Mode, bool ContextSensitive) {
   return Mode == SliceMode::Thin ? "thin slice" : "traditional slice";
 }
 
+std::string tsl::sliceQueryName(const SliceQuery &Q) {
+  if (Q.Direction == SliceDirection::Chop)
+    return "chop";
+  if (Q.Direction == SliceDirection::Forward)
+    return "forward slice";
+  if (Q.AliasDepth == SliceQuery::ExpandToFixpoint)
+    return "fully expanded thin slice";
+  if (Q.AliasDepth)
+    return "thin slice (+" + std::to_string(Q.AliasDepth) +
+           " aliasing levels)";
+  return sliceKindName(Q.Mode, Q.ContextSensitive);
+}
+
 std::string tsl::noStatementMessage(const Program &P, unsigned UserLine,
                                     unsigned LineOffset) {
   unsigned AbsLine = UserLine + LineOffset;

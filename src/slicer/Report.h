@@ -58,7 +58,7 @@ SliceNarration narrateSlice(const SDG &G, const Instr *Seed, SliceMode Mode);
 
 //===----------------------------------------------------------------------===//
 // Shared query-report rendering. The thinslice CLI, its REPL, and the
-// thinsliced service all answer "slice from line N" with the same
+// thinsliced service all answer "<kind> from line N" with the same
 // text; keeping the renderer here (rather than three printf copies)
 // is what makes a remote answer byte-identical to the in-process one.
 //===----------------------------------------------------------------------===//
@@ -69,7 +69,7 @@ SliceNarration narrateSlice(const SDG &G, const Instr *Seed, SliceMode Mode);
 /// convention every tool entry point uses.
 const Instr *seedAtLine(const Program &P, unsigned Line);
 
-/// The standard report of one backward slice: a "<What> from line
+/// The standard report of one slice: a "<What> from line
 /// <UserLine>: S statements, L source lines" header plus one indented
 /// "Class.method:line" entry per source line, lines at or below
 /// \p LineOffset tagged [runtime] and the rest shown relative to it.
@@ -80,6 +80,11 @@ std::string renderSliceReport(const SliceResult &Slice,
 /// The display name of a slice flavor: "context-sensitive slice" when
 /// \p ContextSensitive, otherwise "thin slice" / "traditional slice".
 const char *sliceKindName(SliceMode Mode, bool ContextSensitive);
+
+/// The display name of any query: sliceKindName() for plain backward
+/// slices, otherwise "forward slice", "chop", "thin slice (+K aliasing
+/// levels)" or "fully expanded thin slice".
+std::string sliceQueryName(const SliceQuery &Q);
 
 /// "no statement at line N" with the nearest user-file statement
 /// lines suggested when any exist (no trailing newline, no "error: "

@@ -97,12 +97,12 @@ public:
 
   /// Two-phase backward slice from \p Seed.
   SliceResult slice(const Instr *Seed) const;
-  SliceResult slice(const std::vector<const Instr *> &Seeds) const;
 
-  /// Worker-thread variant: polls the batch-wide \p Shared gate and
-  /// constructs no local BudgetGate (see sliceBackwardNodes).
+  /// Two-phase backward slice from \p Seeds. With \p Shared set (the
+  /// worker-thread variant) it polls that run-wide gate and constructs
+  /// no local BudgetGate (see SliceEngine).
   SliceResult slice(const std::vector<const Instr *> &Seeds,
-                    SharedBudgetGate *Shared) const;
+                    SharedBudgetGate *Shared = nullptr) const;
 
   /// Number of summary edges discovered (a cost statistic).
   unsigned numSummaryEdges() const { return S->NumSummaries; }
@@ -126,9 +126,6 @@ private:
 
   static std::shared_ptr<const SummaryCache::Entry>
   computeSummaries(const SDG &G, SliceMode Mode, const AnalysisBudget *B);
-
-  SliceResult sliceImpl(const std::vector<const Instr *> &Seeds,
-                        SharedBudgetGate *Shared) const;
 
   const SDG &G;
   SliceMode Mode;

@@ -26,7 +26,7 @@
 #include "pipeline/Session.h"
 #include "pta/PointsTo.h"
 #include "sdg/SDG.h"
-#include "slicer/Expansion.h"
+#include "slicer/Engine.h"
 #include "slicer/Slicer.h"
 #include "support/Budget.h"
 
@@ -338,8 +338,8 @@ TEST(Chaos, SeededInterpreterSchedulesNeverEscape) {
   EXPECT_EQ(Clean.Output, Baseline.Output);
 }
 
-// Thin expansion (fault point expand.round) is the remaining gated
-// loop off the session path: every schedule must yield a
+// Thin expansion (fault point expand.round) driven straight through
+// the engine, off the session path: every schedule must yield a
 // complete-or-degraded expansion, never an escape.
 TEST(Chaos, SeededExpansionSchedulesCompleteOrDegrade) {
   InjectorGuard Guard;
@@ -353,9 +353,15 @@ TEST(Chaos, SeededExpansionSchedulesCompleteOrDegrade) {
   SDG *G = S.sdg();
   ASSERT_NE(G, nullptr);
   const Instr *Seed = lastSeed(*P);
+  SliceQuery Full = SliceQuery::of(Seed, SliceMode::Thin);
+  Full.AliasDepth = SliceQuery::ExpandToFixpoint;
+  auto Expand = [&](const AnalysisBudget *B) {
+    QueryOptions QO;
+    QO.Budget = B;
+    return SliceEngine(*G).run(Full, QO).front();
+  };
 
-  ThinExpansion CleanExp(*G, *PTA);
-  SliceResult Baseline = CleanExp.expandToTraditional(Seed);
+  SliceResult Baseline = Expand(nullptr);
   ASSERT_TRUE(Baseline.complete());
   const std::string BaselineStr = renderSlice(Baseline, *P);
 
@@ -377,17 +383,9 @@ TEST(Chaos, SeededExpansionSchedulesCompleteOrDegrade) {
     AnalysisBudget B;
     B.BudgetMs = 60'000;
     B.start();
-    SliceResult R(G, BitSet(G->numNodes()));
-    try {
-      ThinExpansion Exp(*G, *PTA, &B);
-      R = Exp.expandToTraditional(Seed);
-    } catch (const FaultInjectedError &) {
-      // An expansion-level Throw fault is allowed to surface here —
-      // expansion is driven directly, not through a session boundary —
-      // but it must be exactly FaultInjectedError, nothing else.
-      ++Degraded;
-      continue;
-    }
+    // The engine isolates a Throw fault into an empty degraded result
+    // ("exception:..."); nothing may escape it.
+    SliceResult R = Expand(&B);
     if (!R.complete()) {
       EXPECT_FALSE(R.degradedReason().empty()) << "schedule " << Schedule;
       ++Degraded;
@@ -399,8 +397,7 @@ TEST(Chaos, SeededExpansionSchedulesCompleteOrDegrade) {
   EXPECT_GT(Degraded, 10u);
 
   FI.reset();
-  ThinExpansion HealedExp(*G, *PTA);
-  SliceResult Healed = HealedExp.expandToTraditional(Seed);
+  SliceResult Healed = Expand(nullptr);
   ASSERT_TRUE(Healed.complete());
   EXPECT_EQ(renderSlice(Healed, *P), BaselineStr);
 }

@@ -187,8 +187,11 @@ def main() {
   ASSERT_NE(Store, nullptr);
   const auto &Clones = F.G->nodesFor(Store);
   ASSERT_EQ(Clones.size(), 2u);
-  SliceResult S0 = sliceBackwardNodes(*F.G, {Clones[0]}, SliceMode::Thin);
-  SliceResult S1 = sliceBackwardNodes(*F.G, {Clones[1]}, SliceMode::Thin);
+  BudgetGate Gate(nullptr, "slice.pop", 0);
+  SliceResult S0 = reachNodes(*F.G, {Clones[0]}, SliceMode::Thin,
+                              SliceDirection::Backward, Gate);
+  SliceResult S1 = reachNodes(*F.G, {Clones[1]}, SliceMode::Thin,
+                              SliceDirection::Backward, Gate);
   // One clone's slice has the literal, the other the readLine; they
   // are not equal and their union equals the statement-level slice.
   EXPECT_TRUE(S0.nodeSet() != S1.nodeSet());

@@ -1,15 +1,18 @@
 //===-- engine_test.cpp - Batched slice-engine tests ----------------------------==//
 //
-// Differential coverage for SliceEngine: every configuration of the
-// batch path (1 and 4 workers, context-insensitive and -sensitive,
-// summary cache cold and warm, both slice modes) must produce
-// statement-identical results to the single-seed reference slicers —
-// sliceBackwardLegacy for CI, TabulationSlicer::slice for CS — plus
-// unit coverage of dedup, the condensation cache, epoch invalidation,
-// and batch-wide budget degradation. These tests carry the "engine"
-// ctest label and are the set the TSan tree runs.
+// Differential coverage for SliceEngine, the one query path: every
+// query kind (backward and forward, chops, aliasing levels 0-3 and the
+// fixpoint expansion) in every configuration (1 and 4 workers, one
+// seed and many, context-insensitive and -sensitive, summary cache
+// cold and warm, both slice modes) must produce node-identical results
+// to the reference slicers — the edge-record traversals and per-node
+// expansion loop in tests/oracle for CI, TabulationSlicer::slice for
+// CS — plus unit coverage of dedup, the condensation cache, epoch
+// invalidation, and batch-wide budget degradation. These tests carry
+// the "engine" ctest label and are the set the TSan tree runs.
 
 #include "eval/Experiments.h"
+#include "eval/Generator.h"
 #include "eval/Workload.h"
 #include "lang/Lower.h"
 #include "pipeline/Session.h"
@@ -19,6 +22,8 @@
 #include "slicer/Engine.h"
 #include "slicer/Slicer.h"
 #include "slicer/Tabulation.h"
+
+#include "oracle/SliceOracle.h"
 
 #include <gtest/gtest.h>
 
@@ -254,22 +259,34 @@ def main() {
 )");
   ASSERT_NE(C.P, nullptr);
   const Instr *Seed = instrAtLine(*C.P, 5);
+  const Instr *Other = instrAtLine(*C.P, 4);
   ASSERT_NE(Seed, nullptr);
+  ASSERT_NE(Other, nullptr);
+  // Two distinct seeds: a single one runs the breadth-first kernel
+  // and never condenses (see SingleSeedNeverCondenses).
+  const std::vector<const Instr *> Seeds{Seed, Other};
   SliceEngine Engine(*C.CI);
 
   BatchOptions Thin;
-  Engine.sliceBackwardBatch({Seed}, Thin);
+  Engine.sliceBackwardBatch(Seeds, Thin);
   EXPECT_FALSE(Engine.stats().CondensationReused);
-  Engine.sliceBackwardBatch({Seed}, Thin);
+  Engine.sliceBackwardBatch(Seeds, Thin);
   EXPECT_TRUE(Engine.stats().CondensationReused);
 
   // A different mode masks a different subgraph: its first batch
   // builds, its second reuses.
   BatchOptions Trad;
   Trad.Mode = SliceMode::Traditional;
-  Engine.sliceBackwardBatch({Seed}, Trad);
+  Engine.sliceBackwardBatch(Seeds, Trad);
   EXPECT_FALSE(Engine.stats().CondensationReused);
-  Engine.sliceBackwardBatch({Seed}, Trad);
+  Engine.sliceBackwardBatch(Seeds, Trad);
+  EXPECT_TRUE(Engine.stats().CondensationReused);
+
+  // Forward queries sweep the same condensation in the other order.
+  SliceQuery Fwd;
+  Fwd.Direction = SliceDirection::Forward;
+  Fwd.Seeds = Seeds;
+  Engine.run(Fwd);
   EXPECT_TRUE(Engine.stats().CondensationReused);
 
   // Any graph mutation bumps the epoch and invalidates every cached
@@ -279,13 +296,43 @@ def main() {
   for (unsigned N = 0; N != C.CI->numNodes() && !Added; ++N)
     Added = C.CI->addEdge(N, N, SDGEdgeKind::Flow);
   ASSERT_TRUE(Added);
-  std::vector<SliceResult> Got = Engine.sliceBackwardBatch({Seed}, Thin);
+  std::vector<SliceResult> Got = Engine.sliceBackwardBatch(Seeds, Thin);
   EXPECT_FALSE(Engine.stats().CondensationReused);
   expectIdentical(Got.front(),
                   sliceBackwardLegacy(*C.CI, Seed, SliceMode::Thin),
                   "post-epoch-bump");
-  Engine.sliceBackwardBatch({Seed}, Thin);
+  Engine.sliceBackwardBatch(Seeds, Thin);
   EXPECT_TRUE(Engine.stats().CondensationReused);
+}
+
+// A one-seed query (what the CLI, the REPL and the daemon ask for one
+// line) runs the breadth-first kernel: no condensation is built, so
+// the first multi-seed batch afterwards still has to build one.
+TEST(Engine, SingleSeedNeverCondenses) {
+  Compiled C = compile(R"(
+def main() {
+  var a = readInt();
+  var b = a * 2;
+  print(b);
+}
+)");
+  ASSERT_NE(C.P, nullptr);
+  const Instr *Seed = instrAtLine(*C.P, 5);
+  const Instr *Other = instrAtLine(*C.P, 4);
+  SliceEngine Engine(*C.CI);
+  for (SliceDirection Dir : {SliceDirection::Backward,
+                             SliceDirection::Forward}) {
+    SliceResult One = Engine.run(SliceQuery::of(Seed, SliceMode::Thin, Dir))
+                          .front();
+    EXPECT_FALSE(Engine.stats().CondensationReused);
+    EXPECT_EQ(Engine.stats().Workers, 1u);
+    EXPECT_TRUE(One.complete());
+  }
+  // Duplicates of one seed are still one unique query.
+  Engine.sliceBackwardBatch({Seed, Seed, Seed});
+  EXPECT_EQ(Engine.stats().UniqueQueries, 1u);
+  Engine.sliceBackwardBatch({Seed, Other});
+  EXPECT_FALSE(Engine.stats().CondensationReused);
 }
 
 //===----------------------------------------------------------------------===//
@@ -325,4 +372,132 @@ TEST(Engine, BatchBudgetDegradesSoundly) {
     });
   }
   EXPECT_TRUE(AnyDegraded);
+}
+
+//===----------------------------------------------------------------------===//
+// Differential: every query kind against the oracle
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Runs every context-insensitive query kind for \p Seeds on \p G — as
+/// one batch at 1 and 4 workers, and seed by seed (the breadth-first
+/// path) — and compares each result with the oracle's.
+void expectEveryKindMatchesOracle(const SDG &G,
+                                  const std::vector<const Instr *> &Seeds,
+                                  const std::string &Name) {
+  ASSERT_FALSE(Seeds.empty()) << Name;
+  SliceEngine Engine(G);
+  auto Check = [&](const SliceQuery &Q, const std::string &Kind,
+                   auto Oracle) {
+    std::vector<SliceResult> Want;
+    for (const Instr *Seed : Q.Seeds)
+      Want.push_back(Oracle(Seed));
+    for (unsigned Jobs : {1u, 4u}) {
+      QueryOptions QO;
+      QO.Jobs = Jobs;
+      std::vector<SliceResult> Got = Engine.run(Q, QO);
+      ASSERT_EQ(Got.size(), Want.size());
+      for (std::size_t I = 0; I != Got.size(); ++I) {
+        EXPECT_TRUE(Got[I].complete()) << Got[I].degradedReason();
+        expectIdentical(Got[I], Want[I],
+                        Name + "/" + Kind + "/jobs" + std::to_string(Jobs) +
+                            "/seed" + std::to_string(I));
+      }
+    }
+    SliceQuery One = Q;
+    for (std::size_t I = 0; I != Q.Seeds.size(); ++I) {
+      One.Seeds = {Q.Seeds[I]};
+      expectIdentical(Engine.run(One).front(), Want[I],
+                      Name + "/" + Kind + "/single" + std::to_string(I));
+    }
+  };
+
+  const Instr *Sink = Seeds[Seeds.size() / 2];
+  for (SliceMode Mode : {SliceMode::Thin, SliceMode::Traditional}) {
+    const std::string M = Mode == SliceMode::Thin ? "thin" : "trad";
+    SliceQuery Q;
+    Q.Mode = Mode;
+    Q.Seeds = Seeds;
+    Check(Q, M + "/backward", [&](const Instr *S) {
+      return sliceBackwardLegacy(G, S, Mode);
+    });
+    Q.Direction = SliceDirection::Forward;
+    Check(Q, M + "/forward", [&](const Instr *S) {
+      return sliceForwardLegacy(G, S, Mode);
+    });
+    Q.Direction = SliceDirection::Chop;
+    Q.ChopSink = Sink;
+    Check(Q, M + "/chop", [&](const Instr *S) {
+      return chopLegacy(G, S, Sink, Mode);
+    });
+  }
+  for (unsigned Depth : {0u, 1u, 2u, 3u, SliceQuery::ExpandToFixpoint}) {
+    SliceQuery Q;
+    Q.AliasDepth = Depth;
+    Q.Seeds = Seeds;
+    Check(Q, "alias" + std::to_string(Depth), [&](const Instr *S) {
+      return expandLegacy(G, S, Depth);
+    });
+  }
+}
+
+} // namespace
+
+TEST(Engine, EveryKindMatchesOracleOnEvalCases) {
+  std::map<std::string, Compiled> Programs;
+  std::map<std::string, std::vector<const Instr *>> SeedsOf;
+  auto Add = [&](const WorkloadProgram &Prog, const std::string &Marker) {
+    auto It = Programs.find(Prog.Name);
+    if (It == Programs.end())
+      It = Programs.emplace(Prog.Name, compile(Prog.Source)).first;
+    if (!It->second.P)
+      return;
+    if (const Instr *Seed =
+            instrAtLine(*It->second.P, Prog.markerLine(Marker)))
+      SeedsOf[Prog.Name].push_back(Seed);
+  };
+  for (const BugCase &Case : debuggingCases())
+    Add(Case.Prog, Case.SeedMarker);
+  for (const CastCase &Case : toughCastCases())
+    Add(Case.Prog,
+        Case.SeedMarker.empty() ? Case.CastMarker : Case.SeedMarker);
+  ASSERT_FALSE(SeedsOf.empty());
+  for (const auto &[Name, Seeds] : SeedsOf)
+    expectEveryKindMatchesOracle(*Programs.at(Name).CI, Seeds, Name);
+}
+
+class EngineGenerated : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EngineGenerated, EveryKindMatchesOracle) {
+  Compiled C = compile(generateRandomProgram(GetParam()));
+  ASSERT_NE(C.P, nullptr);
+  expectEveryKindMatchesOracle(*C.CI, collectSliceSeeds(*C.P, 12),
+                               "generated" + std::to_string(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Programs, EngineGenerated,
+                         ::testing::Range<uint64_t>(1, 41));
+
+// Contradictory queries are refused, never half-answered.
+TEST(Engine, ContradictoryQueriesComeBackDegraded) {
+  Compiled C = compile("def main() { var a = readInt(); print(a); }");
+  ASSERT_NE(C.P, nullptr);
+  const Instr *Seed = instrAtLine(*C.P, 1);
+  SliceEngine Engine(*C.CI);
+  SliceQuery CSForward =
+      SliceQuery::of(Seed, SliceMode::Thin, SliceDirection::Forward);
+  CSForward.ContextSensitive = true;
+  SliceQuery TradAlias = SliceQuery::of(Seed, SliceMode::Traditional);
+  TradAlias.AliasDepth = 1;
+  SliceQuery NoSink =
+      SliceQuery::of(Seed, SliceMode::Thin, SliceDirection::Chop);
+  for (const SliceQuery &Q : {CSForward, TradAlias, NoSink}) {
+    std::vector<SliceResult> R = Engine.run(Q);
+    ASSERT_EQ(R.size(), 1u);
+    EXPECT_FALSE(R.front().complete());
+    EXPECT_EQ(R.front().degradedReason().rfind("unsupported query: ", 0), 0u)
+        << R.front().degradedReason();
+    EXPECT_EQ(R.front().nodeSet().count(), 0u);
+  }
 }

@@ -140,7 +140,9 @@ def main() {
 }
 )");
   const Instr *Seed = F.lastAtLine(12);
-  SliceResult Expanded = F.Exp->expandToTraditional(Seed);
+  SliceQuery Full = SliceQuery::of(Seed, SliceMode::Thin);
+  Full.AliasDepth = SliceQuery::ExpandToFixpoint;
+  SliceResult Expanded = SliceEngine(*F.G).run(Full).front();
   SliceResult Trad = sliceBackward(*F.G, Seed, SliceMode::Traditional);
   EXPECT_TRUE(Expanded.nodeSet() == Trad.nodeSet())
       << "expanded:\n"

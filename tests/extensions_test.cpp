@@ -5,13 +5,30 @@
 #include "lang/Lower.h"
 #include "pta/PointsTo.h"
 #include "sdg/SDGDot.h"
-#include "slicer/Chop.h"
-#include "slicer/Expansion.h"
+#include "slicer/Engine.h"
 #include "slicer/Slicer.h"
 
 #include <gtest/gtest.h>
 
 using namespace tsl;
+
+namespace {
+
+/// The engine's chop from \p Src to \p Sink.
+SliceResult chopQuery(const SDG &G, const Instr *Src, const Instr *Sink) {
+  SliceQuery Q = SliceQuery::of(Src, SliceMode::Thin, SliceDirection::Chop);
+  Q.ChopSink = Sink;
+  return SliceEngine(G).run(Q).front();
+}
+
+/// The engine's thin slice of \p Seed grown by \p Depth aliasing levels.
+SliceResult aliasDepthQuery(const SDG &G, const Instr *Seed, unsigned Depth) {
+  SliceQuery Q = SliceQuery::of(Seed, SliceMode::Thin);
+  Q.AliasDepth = Depth;
+  return SliceEngine(G).run(Q).front();
+}
+
+} // namespace
 
 namespace {
 
@@ -112,7 +129,7 @@ def main() {
 )");
   const Instr *Src = F.lastAtLine(3);
   const Instr *Sink = F.lastAtLine(6);
-  SliceResult C = chop(*F.G, Src, Sink, SliceMode::Thin);
+  SliceResult C = chopQuery(*F.G, Src, Sink);
   EXPECT_TRUE(F.hasLine(C, 3));  // Source.
   EXPECT_TRUE(F.hasLine(C, 4));  // On the path.
   EXPECT_TRUE(F.hasLine(C, 6));  // Sink.
@@ -129,8 +146,7 @@ def main() {
   print(b);
 }
 )");
-  SliceResult C =
-      chop(*F.G, F.lastAtLine(4), F.lastAtLine(5), SliceMode::Thin);
+  SliceResult C = chopQuery(*F.G, F.lastAtLine(4), F.lastAtLine(5));
   EXPECT_EQ(C.sizeStmts(), 0u);
 }
 
@@ -141,7 +157,7 @@ TEST(Chop, ThroughContainer) {
   Fixture F(W.Source);
   const Instr *Src = F.lastAtLine(W.markerLine("bug"));
   const Instr *Sink = F.lastAtLine(W.markerLine("seed"));
-  SliceResult C = chop(*F.G, Src, Sink, SliceMode::Thin);
+  SliceResult C = chopQuery(*F.G, Src, Sink);
   EXPECT_TRUE(F.hasLine(C, W.markerLine("bug")));
   EXPECT_TRUE(F.hasLine(C, W.markerLine("add")));
   EXPECT_TRUE(F.hasLine(C, W.markerLine("get")));
@@ -215,22 +231,21 @@ TEST(Dot, NodeCapRespected) {
 TEST(AliasDepth, MonotoneAndConverges) {
   WorkloadProgram W = makeFigure4();
   Fixture F(W.Source);
-  ThinExpansion Exp(*F.G, *F.PTA);
   const Instr *Seed = F.lastAtLine(W.markerLine("readopen"));
 
-  SliceResult Prev = Exp.thinSliceWithAliasDepth(Seed, 0);
+  SliceResult Prev = aliasDepthQuery(*F.G, Seed, 0);
   SliceResult Plain = sliceBackward(*F.G, Seed, SliceMode::Thin);
   EXPECT_TRUE(Prev.nodeSet() == Plain.nodeSet()); // Depth 0 = thin.
 
   for (unsigned Depth = 1; Depth <= 5; ++Depth) {
-    SliceResult Cur = Exp.thinSliceWithAliasDepth(Seed, Depth);
+    SliceResult Cur = aliasDepthQuery(*F.G, Seed, Depth);
     BitSet Shrink = Prev.nodeSet();
     Shrink.subtract(Cur.nodeSet());
     EXPECT_TRUE(Shrink.empty()) << "depth " << Depth << " lost nodes";
     Prev = Cur;
   }
   // Depth >= 1 exposes the File allocation (the aliasing story).
-  SliceResult One = Exp.thinSliceWithAliasDepth(Seed, 1);
+  SliceResult One = aliasDepthQuery(*F.G, Seed, 1);
   EXPECT_TRUE(F.hasLine(One, W.markerLine("file-alloc")));
   EXPECT_FALSE(F.hasLine(Plain, W.markerLine("file-alloc")));
 }
@@ -238,9 +253,8 @@ TEST(AliasDepth, MonotoneAndConverges) {
 TEST(AliasDepth, StaysWithinTraditionalDataPortion) {
   WorkloadProgram W = makeFigure4();
   Fixture F(W.Source);
-  ThinExpansion Exp(*F.G, *F.PTA);
   const Instr *Seed = F.lastAtLine(W.markerLine("readopen"));
-  SliceResult Deep = Exp.thinSliceWithAliasDepth(Seed, 10);
+  SliceResult Deep = aliasDepthQuery(*F.G, Seed, 10);
   SliceResult Trad = sliceBackward(*F.G, Seed, SliceMode::Traditional);
   BitSet Extra = Deep.nodeSet();
   Extra.subtract(Trad.nodeSet());

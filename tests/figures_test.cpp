@@ -92,8 +92,9 @@ TEST(Figure2, ThinSliceIsProducersOnly) {
 TEST(Figure2, ExpansionRecoversTraditional) {
   Pipeline PL(makeFigure2());
   ASSERT_TRUE(PL.ok()) << PL.S->diagnostics().str();
-  ThinExpansion Exp(*PL.G, *PL.PTA);
-  SliceResult Expanded = Exp.expandToTraditional(PL.at("seed"));
+  SliceQuery Full = SliceQuery::of(PL.at("seed"), SliceMode::Thin);
+  Full.AliasDepth = SliceQuery::ExpandToFixpoint;
+  SliceResult Expanded = SliceEngine(*PL.G).run(Full).front();
   SliceResult Trad =
       sliceBackward(*PL.G, PL.at("seed"), SliceMode::Traditional);
   EXPECT_TRUE(Expanded.nodeSet() == Trad.nodeSet());

@@ -22,7 +22,7 @@
 #include "modref/ModRef.h"
 #include "pta/PointsTo.h"
 #include "sdg/SDG.h"
-#include "slicer/Expansion.h"
+#include "slicer/Engine.h"
 #include "slicer/Slicer.h"
 #include "slicer/Tabulation.h"
 
@@ -85,11 +85,15 @@ TEST_P(RandomProgramProperty, ThinIsSubsetOfTraditional) {
 TEST_P(RandomProgramProperty, ExpansionReachesTraditional) {
   Built B = build(GetParam());
   ASSERT_NE(B.P, nullptr);
-  ThinExpansion Exp(*B.G, *B.PTA);
-  for (const Instr *Seed : B.Seeds) {
-    SliceResult Expanded = Exp.expandToTraditional(Seed);
+  SliceQuery Full;
+  Full.AliasDepth = SliceQuery::ExpandToFixpoint;
+  Full.Seeds = B.Seeds;
+  std::vector<SliceResult> Expanded = SliceEngine(*B.G).run(Full);
+  ASSERT_EQ(Expanded.size(), B.Seeds.size());
+  for (std::size_t I = 0; I != B.Seeds.size(); ++I) {
+    const Instr *Seed = B.Seeds[I];
     SliceResult Trad = sliceBackward(*B.G, Seed, SliceMode::Traditional);
-    EXPECT_TRUE(Expanded.nodeSet() == Trad.nodeSet()) << "seed @ line "
+    EXPECT_TRUE(Expanded[I].nodeSet() == Trad.nodeSet()) << "seed @ line "
         << Seed->loc().Line;
   }
 }
@@ -203,7 +207,9 @@ TEST_P(WorkloadProperty, ThinSubsetAndExpansionOnWorkloads) {
   const WorkloadProgram &W = nthWorkload(GetParam());
   Built B = buildFromSource(W.Source);
   ASSERT_NE(B.P, nullptr) << W.Name;
-  ThinExpansion Exp(*B.G, *B.PTA);
+  SliceEngine Engine(*B.G);
+  SliceQuery Full;
+  Full.AliasDepth = SliceQuery::ExpandToFixpoint;
   // Sample a few seeds to keep runtime in check.
   size_t Step = std::max<size_t>(1, B.Seeds.size() / 4);
   for (size_t I = 0; I < B.Seeds.size(); I += Step) {
@@ -213,7 +219,8 @@ TEST_P(WorkloadProperty, ThinSubsetAndExpansionOnWorkloads) {
     BitSet Extra = Thin.nodeSet();
     Extra.subtract(Trad.nodeSet());
     EXPECT_TRUE(Extra.empty()) << W.Name;
-    SliceResult Expanded = Exp.expandToTraditional(Seed);
+    Full.Seeds = {Seed};
+    SliceResult Expanded = Engine.run(Full).front();
     EXPECT_TRUE(Expanded.nodeSet() == Trad.nodeSet()) << W.Name;
   }
 }

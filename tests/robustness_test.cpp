@@ -252,7 +252,7 @@ TEST(Robustness, UnicodeBytesInStrings) {
 #include "eval/Workload.h"
 #include "modref/ModRef.h"
 #include "pipeline/Session.h"
-#include "slicer/Chop.h"
+#include "slicer/Engine.h"
 #include "slicer/Expansion.h"
 #include "slicer/Tabulation.h"
 #include "support/Budget.h"
@@ -287,6 +287,28 @@ std::vector<const Instr *> allSeedInstrs(const Program &P, const SDG &G) {
 std::set<const Instr *> stmtSet(const SliceResult &S) {
   auto V = S.statements();
   return std::set<const Instr *>(V.begin(), V.end());
+}
+
+/// The engine's answer to \p Q for its one seed under \p B.
+SliceResult answer(const SDG &G, const SliceQuery &Q,
+                   const AnalysisBudget *B = nullptr) {
+  QueryOptions QO;
+  QO.Budget = B;
+  return SliceEngine(G).run(Q, QO).front();
+}
+
+/// The fixpoint expansion of \p Seed (paper Sec. 2).
+SliceQuery expandQuery(const Instr *Seed) {
+  SliceQuery Q = SliceQuery::of(Seed, SliceMode::Thin);
+  Q.AliasDepth = SliceQuery::ExpandToFixpoint;
+  return Q;
+}
+
+/// True when every node of \p Part is in \p Whole.
+bool nodeSubset(const SliceResult &Part, const SliceResult &Whole) {
+  BitSet Extra = Part.nodeSet();
+  Extra.subtract(Whole.nodeSet());
+  return Extra.count() == 0;
 }
 
 /// Canonical cross-session slice rendering: statement source
@@ -536,8 +558,7 @@ TEST(PipelineExhaustion, EveryFaultPointFiresWithSoundDegradation) {
   CsOpts.ContextSensitive = true;
   std::unique_ptr<SDG> CsG = buildSDG(*P, *PTA, &MR, CsOpts);
   SliceResult FullTab = TabulationSlicer(*CsG, SliceMode::Thin).slice(Seed);
-  SliceResult FullExpand =
-      ThinExpansion(*G, *PTA).expandToTraditional(Seed);
+  SliceResult FullExpand = answer(*G, expandQuery(Seed));
 
   // Cold post-edit reference for the mid-incremental fault cases:
   // whichever stage update a fault knocks out, the incremental
@@ -591,7 +612,7 @@ TEST(PipelineExhaustion, EveryFaultPointFiresWithSoundDegradation) {
       Extra.subtract(FullTab.nodeSet());
       EXPECT_EQ(Extra.count(), 0u);
     } else if (Point == "expand.round") {
-      SliceResult S = ThinExpansion(*G, *PTA).expandToTraditional(Seed);
+      SliceResult S = answer(*G, expandQuery(Seed));
       EXPECT_FALSE(S.complete());
       BitSet Extra = S.nodeSet();
       Extra.subtract(FullExpand.nodeSet());
@@ -724,15 +745,77 @@ TEST(PipelineExhaustion, BudgetedChopIsSubset) {
   const Instr *Snk = instrAtLine(*P, W.markerLine("seed"));
   ASSERT_TRUE(Src && Snk);
 
-  SliceResult Full = chop(*G, Src, Snk, SliceMode::Thin);
+  SliceQuery Chop = SliceQuery::of(Src, SliceMode::Thin, SliceDirection::Chop);
+  Chop.ChopSink = Snk;
+  SliceResult Full = answer(*G, Chop);
   AnalysisBudget Tight;
   Tight.MaxSlicePops = 3;
-  SliceResult Budgeted = chop(*G, Src, Snk, SliceMode::Thin, &Tight);
+  SliceResult Budgeted = answer(*G, Chop, &Tight);
   BitSet Extra = Budgeted.nodeSet();
   Extra.subtract(Full.nodeSet());
   EXPECT_EQ(Extra.count(), 0u);
   if (!Budgeted.complete())
     EXPECT_FALSE(Budgeted.degradedReason().empty());
+}
+
+// The aliasing and index explainers honor the budget they were
+// constructed with: a one-pop cap degrades them to subsets of the
+// unbudgeted explanations.
+TEST(PipelineExhaustion, BudgetedExplainersAreDegradedSubsets) {
+  FaultInjector::instance().reset();
+  auto HeapAccessAt = [](const Program &P, unsigned Line) {
+    const Instr *Found = nullptr;
+    for (const auto &M : P.methods())
+      for (const auto &BB : M->blocks())
+        for (const auto &I : BB->instrs())
+          if (I->loc().Line == Line &&
+              (isa<LoadInstr>(I.get()) || isa<StoreInstr>(I.get()) ||
+               isa<ArrayLoadInstr>(I.get()) || isa<ArrayStoreInstr>(I.get())))
+            Found = I.get();
+    return Found;
+  };
+  AnalysisBudget OnePop;
+  OnePop.MaxSlicePops = 1;
+
+  WorkloadProgram W = makeFigure4();
+  std::unique_ptr<Program> P = compileWorkload(W);
+  ASSERT_TRUE(P);
+  std::unique_ptr<PointsToResult> PTA = runPointsTo(*P);
+  std::unique_ptr<SDG> G = buildSDG(*P, *PTA, nullptr);
+  const Instr *Store = HeapAccessAt(*P, W.markerLine("openfield-false"));
+  const Instr *Load = HeapAccessAt(*P, W.markerLine("isopen"));
+  ASSERT_TRUE(Store && Load);
+  SliceResult Full = ThinExpansion(*G, *PTA).explainAliasing(Store, Load);
+  SliceResult Capped =
+      ThinExpansion(*G, *PTA, &OnePop).explainAliasing(Store, Load);
+  ASSERT_TRUE(Full.complete());
+  EXPECT_FALSE(Capped.complete());
+  EXPECT_FALSE(Capped.degradedReason().empty());
+  EXPECT_TRUE(nodeSubset(Capped, Full));
+
+  DiagnosticEngine Diag;
+  std::unique_ptr<Program> AP = compileThinJ(R"(
+def main() {
+  var arr = new int[8];
+  var wi = readInt();
+  var ri = wi + 1;
+  arr[wi] = 7;
+  print(arr[ri]);
+}
+)",
+                                             Diag);
+  ASSERT_TRUE(AP) << Diag.str();
+  std::unique_ptr<PointsToResult> APTA = runPointsTo(*AP);
+  std::unique_ptr<SDG> AG = buildSDG(*AP, *APTA, nullptr);
+  const Instr *Write = HeapAccessAt(*AP, 6);
+  const Instr *Read = HeapAccessAt(*AP, 7);
+  ASSERT_TRUE(Write && Read);
+  SliceResult FullIdx = ThinExpansion(*AG, *APTA).explainIndices(Write, Read);
+  SliceResult CappedIdx =
+      ThinExpansion(*AG, *APTA, &OnePop).explainIndices(Write, Read);
+  ASSERT_TRUE(FullIdx.complete());
+  EXPECT_FALSE(CappedIdx.complete());
+  EXPECT_TRUE(nodeSubset(CappedIdx, FullIdx));
 }
 
 //===----------------------------------------------------------------------===//

@@ -183,7 +183,10 @@ def main() {
 }
 )");
   const Instr *Seed = F.lastAtLine(3); // a's def
-  SliceResult Fwd = sliceForward(*F.G, Seed, SliceMode::Thin);
+  SliceResult Fwd =
+      SliceEngine(*F.G)
+          .run(SliceQuery::of(Seed, SliceMode::Thin, SliceDirection::Forward))
+          .front();
   auto L = F.lines(Fwd);
   EXPECT_TRUE(containsLine(L, 4));
   EXPECT_TRUE(containsLine(L, 6));
@@ -202,9 +205,12 @@ def main() {
 )");
   const Instr *S1 = F.lastAtLine(5);
   const Instr *S2 = F.lastAtLine(6);
-  SliceResult Both =
-      sliceBackward(*F.G, std::vector<const Instr *>{S1, S2},
-                    SliceMode::Thin);
+  SliceQuery Q;
+  Q.Seeds = {S1, S2};
+  std::vector<SliceResult> PerSeed = SliceEngine(*F.G).run(Q);
+  ASSERT_EQ(PerSeed.size(), 2u);
+  SliceResult Both = PerSeed[0];
+  Both.unionWith(PerSeed[1]);
   auto L = F.lines(Both);
   EXPECT_TRUE(containsLine(L, 3));
   EXPECT_TRUE(containsLine(L, 4));

@@ -4,6 +4,8 @@
 Usage: check_bench.py --baseline BENCH_foo.json --run run.json [--tolerance 3.0]
 
 Matches benchmarks by name and compares real_time (normalized to ns).
+When a file repeats a name (--benchmark_repetitions), the median of
+its iteration rows stands for it; the aggregate rows are ignored.
 A benchmark regresses when run_time > tolerance * baseline_time. New or
 vanished benchmarks are reported but are not regressions — baselines
 were recorded on different hardware, which is also why the default
@@ -17,15 +19,17 @@ Exit codes: 0 no regression, 1 regression(s), 2 bad invocation.
 
 import argparse
 import json
+import statistics
 import sys
 
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def load_benchmarks(path):
+    """Name -> real time in ns, the median over repeated rows."""
     with open(path) as f:
         doc = json.load(f)
-    out = {}
+    runs = {}
     for bench in doc.get("benchmarks", []):
         # Skip aggregate rows (mean/median/stddev of repetitions).
         if bench.get("run_type") == "aggregate":
@@ -33,8 +37,8 @@ def load_benchmarks(path):
         unit = _UNIT_NS.get(bench.get("time_unit", "ns"))
         if unit is None or "real_time" not in bench:
             continue
-        out[bench["name"]] = bench["real_time"] * unit
-    return out
+        runs.setdefault(bench["name"], []).append(bench["real_time"] * unit)
+    return {name: statistics.median(times) for name, times in runs.items()}
 
 
 def fmt_ns(ns):

@@ -1,11 +1,11 @@
 //===-- thinsliced.cpp - The thin-slice daemon ----------------------------===//
 //
 // Long-running serving face of the library: listens on a Unix-domain
-// socket and answers the service protocol (load-source, slice,
-// batch-slice, edit, stats, shutdown) from a registry of warm
-// AnalysisSessions. The paper's use case is a developer firing many
-// small slice queries against one warm analysis; thinsliced keeps that
-// analysis warm across processes and clients:
+// socket and answers the service protocol (load-source, query — any
+// slice kind, one seed or a batch — edit, stats, shutdown) from a
+// registry of warm AnalysisSessions. The paper's use case is a
+// developer firing many small slice queries against one warm analysis;
+// thinsliced keeps that analysis warm across processes and clients:
 //
 //   thinsliced --socket /tmp/tsl.sock &
 //   thinslice prog.tsj --connect /tmp/tsl.sock --line 24
