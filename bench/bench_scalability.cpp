@@ -12,20 +12,27 @@
 //    the same wall).
 //
 // The sweep pads the nanoxml model with growing amounts of reachable
-// library code and reports sizes and times per configuration.
+// library code and reports sizes and times per configuration. The
+// BM_CsSdgBuild and BM_CsSummaries rows time the two context-sensitive
+// layers alone at pads 8 and 12: a cold heap-parameter SDG build from
+// cached points-to and mod-ref, and the traditional-mode summary
+// computation of the table's summary-ms column.
 //
 //===----------------------------------------------------------------------===//
 
 #include "eval/Experiments.h"
 #include "eval/Workload.h"
 #include "pipeline/Session.h"
+#include "sdg/SDG.h"
 #include "slicer/Slicer.h"
+#include "slicer/Tabulation.h"
 
 #include "BenchGuard.h"
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <map>
 #include <memory>
 
 using namespace tsl;
@@ -69,6 +76,55 @@ void BM_TraditionalSlice(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_TraditionalSlice)->Unit(benchmark::kMicrosecond);
+
+/// The padded nanoxml program of the scalability table at one pad,
+/// with points-to, mod-ref and the context-sensitive SDG built once.
+struct CsBuilt {
+  std::unique_ptr<AnalysisSession> S;
+  SDG *CS = nullptr;
+};
+
+CsBuilt &csBuilt(unsigned Pad) {
+  static std::map<unsigned, CsBuilt> Cache;
+  CsBuilt &B = Cache[Pad];
+  if (!B.S) {
+    WorkloadProgram W =
+        padWorkload(debuggingCases().front().Prog, "S", Pad, 6);
+    B.S = std::make_unique<AnalysisSession>(W.Source);
+    B.S->modRef();
+    SDGOptions CSOpts;
+    CSOpts.ContextSensitive = true;
+    B.S->setSDGOptions(CSOpts);
+    B.CS = B.S->sdg();
+  }
+  return B;
+}
+
+void BM_CsSdgBuild(benchmark::State &State) {
+  CsBuilt &B = csBuilt(static_cast<unsigned>(State.range(0)));
+  SDGOptions CSOpts;
+  CSOpts.ContextSensitive = true;
+  for (auto _ : State) {
+    std::unique_ptr<SDG> G = buildSDG(*B.S->program(), *B.S->pointsTo(),
+                                      B.S->modRef(), CSOpts);
+    benchmark::DoNotOptimize(G->numEdges());
+  }
+  State.counters["heap_nodes"] = B.CS->numHeapParamNodes();
+  State.counters["edges"] = B.CS->numEdges();
+}
+BENCHMARK(BM_CsSdgBuild)->Arg(8)->Arg(12)->Unit(benchmark::kMillisecond);
+
+void BM_CsSummaries(benchmark::State &State) {
+  CsBuilt &B = csBuilt(static_cast<unsigned>(State.range(0)));
+  unsigned Summaries = 0;
+  for (auto _ : State) {
+    TabulationSlicer Tab(*B.CS, SliceMode::Traditional);
+    Summaries = Tab.numSummaryEdges();
+    benchmark::DoNotOptimize(Summaries);
+  }
+  State.counters["summary_edges"] = Summaries;
+}
+BENCHMARK(BM_CsSummaries)->Arg(8)->Arg(12)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

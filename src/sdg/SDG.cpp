@@ -73,8 +73,8 @@ int SDG::nodeFor(const Instr *I, unsigned Ctx) const {
 unsigned SDG::addHeapNode(SDGNodeKind K, const Instr *CallOrNull,
                           const Method *M, unsigned Part, unsigned Ctx) {
   ensureIndexes();
-  const uint64_t Anchor = heapAnchorKey(CallOrNull, M);
-  auto [It, New] = HeapIndex.emplace(std::make_tuple(K, Anchor, Part, Ctx), 0);
+  auto [It, New] = HeapIndex.try_emplace(
+      HeapKey{K, heapAnchorKey(CallOrNull, M), Part, Ctx}, 0);
   if (!New)
     return It->second;
   unfinalize();
@@ -90,16 +90,14 @@ unsigned SDG::addHeapNode(SDGNodeKind K, const Instr *CallOrNull,
 int SDG::heapNodeFor(SDGNodeKind K, const Method *M, unsigned Part,
                      unsigned Ctx) const {
   ensureIndexes();
-  auto It =
-      HeapIndex.find(std::make_tuple(K, heapAnchorKey(nullptr, M), Part, Ctx));
+  auto It = HeapIndex.find(HeapKey{K, heapAnchorKey(nullptr, M), Part, Ctx});
   return It == HeapIndex.end() ? -1 : static_cast<int>(It->second);
 }
 
 int SDG::heapNodeFor(SDGNodeKind K, const Instr *Call, unsigned Part,
                      unsigned Ctx) const {
   ensureIndexes();
-  auto It = HeapIndex.find(
-      std::make_tuple(K, heapAnchorKey(Call, nullptr), Part, Ctx));
+  auto It = HeapIndex.find(HeapKey{K, heapAnchorKey(Call, nullptr), Part, Ctx});
   return It == HeapIndex.end() ? -1 : static_cast<int>(It->second);
 }
 
@@ -107,8 +105,9 @@ void SDG::ensureEdgeDedup() {
   if (DedupValid)
     return;
   EdgeDedup.clear();
+  EdgeDedup.reserve(Edges.size());
   for (const SDGEdge &E : Edges)
-    EdgeDedup.insert({E.From, E.To, E.K, siteKey(E.Site)});
+    EdgeDedup.insert(edgeKey(E));
   DedupValid = true;
 }
 
@@ -126,8 +125,7 @@ void SDG::ensureIndexes() const {
     if (N.K == SDGNodeKind::Stmt)
       Self->StmtIndex[denseInstrKey(N.I)].push_back(N.Id);
     else
-      Self->HeapIndex[std::make_tuple(N.K, heapAnchorKey(N.I, N.M), N.Part,
-                                      N.Ctx)] = N.Id;
+      Self->HeapIndex[heapKey(N)] = N.Id;
   }
   Self->IndexesValid = true;
 }
@@ -135,12 +133,71 @@ void SDG::ensureIndexes() const {
 bool SDG::addEdge(unsigned From, unsigned To, SDGEdgeKind K,
                   const CallInstr *Site) {
   ensureEdgeDedup();
-  if (!EdgeDedup.insert({From, To, K, siteKey(Site)}).second)
+  if (!EdgeDedup.insert(EdgeKey{From, To, K, siteKey(Site)}).second)
     return false;
   unfinalize();
   ++Epoch;
   Edges.push_back({From, To, K, Site});
   return true;
+}
+
+void SDG::appendEdge(unsigned From, unsigned To, SDGEdgeKind K,
+                     const CallInstr *Site) {
+  unfinalize();
+  ++Epoch;
+  Edges.push_back({From, To, K, Site});
+  DedupValid = false;
+}
+
+void SDG::removeDuplicateEdges() {
+  // Equal edges share their To: bucket edge ids by To (a counting
+  // sort keeps ascending ids per bucket), then, within a bucket, chain
+  // the kept edges per From and compare kind and site along the chain.
+  // Flat arrays only — no per-edge allocation.
+  const std::size_t NN = Nodes.size(), NE = Edges.size();
+  std::vector<unsigned> Off(NN + 1, 0), ById(NE);
+  for (const SDGEdge &E : Edges)
+    ++Off[E.To + 1];
+  for (std::size_t I = 1; I <= NN; ++I)
+    Off[I] += Off[I - 1];
+  {
+    std::vector<unsigned> Cur(Off.begin(), Off.end() - 1);
+    for (std::size_t Id = 0; Id != NE; ++Id)
+      ById[Cur[Edges[Id].To]++] = static_cast<unsigned>(Id);
+  }
+  constexpr unsigned None = ~0u;
+  std::vector<unsigned> Stamp(NN, None), Head(NN), Next(NE);
+  std::vector<char> Dup(NE, 0);
+  unsigned NumDup = 0;
+  for (std::size_t To = 0; To != NN; ++To) {
+    for (unsigned I = Off[To]; I != Off[To + 1]; ++I) {
+      const unsigned Id = ById[I];
+      const SDGEdge &E = Edges[Id];
+      if (Stamp[E.From] != To) {
+        Stamp[E.From] = static_cast<unsigned>(To);
+        Head[E.From] = None;
+      }
+      bool Seen = false;
+      for (unsigned J = Head[E.From]; J != None && !Seen; J = Next[J])
+        Seen = Edges[J].K == E.K && Edges[J].Site == E.Site;
+      if (Seen) {
+        Dup[Id] = 1;
+        ++NumDup;
+        continue;
+      }
+      Next[Id] = Head[E.From];
+      Head[E.From] = Id;
+    }
+  }
+  if (NumDup) {
+    std::size_t Out = 0;
+    for (std::size_t Id = 0; Id != NE; ++Id)
+      if (!Dup[Id])
+        Edges[Out++] = Edges[Id];
+    Edges.resize(Out);
+    Epoch -= NumDup; // addEdge bumps the epoch for new edges only.
+  }
+  DedupValid = false;
 }
 
 void SDG::killNode(unsigned Id) {
@@ -167,8 +224,7 @@ void SDG::killNode(unsigned Id) {
   } else {
     if (N.K == SDGNodeKind::ScalarActualIn)
       --NumStmts;
-    HeapIndex.erase(
-        std::make_tuple(N.K, heapAnchorKey(N.I, N.M), N.Part, N.Ctx));
+    HeapIndex.erase(heapKey(N));
   }
 }
 
@@ -180,7 +236,7 @@ unsigned SDG::removeEdgesIf(const std::function<bool(const SDGEdge &)> &Pred) {
   for (const SDGEdge &E : Edges) {
     if (Pred(E)) {
       if (DedupValid)
-        EdgeDedup.erase({E.From, E.To, E.K, siteKey(E.Site)});
+        EdgeDedup.erase(edgeKey(E));
       ++Removed;
     } else {
       Kept.push_back(E);
@@ -220,10 +276,8 @@ void SDG::compact() {
     Kept.push_back(E);
   }
   Edges.swap(Kept);
-  EdgeDedup.clear();
-  for (const SDGEdge &E : Edges)
-    EdgeDedup.insert({E.From, E.To, E.K, siteKey(E.Site)});
-  DedupValid = true;
+  EdgeDedup.clear(); // Rebuilt by the next checked mutation.
+  DedupValid = false;
   keyChurnReset(); // Wholesale rebuild: the churn log is meaningless.
   StmtIndex.clear();
   HeapIndex.clear();
@@ -231,8 +285,7 @@ void SDG::compact() {
     if (N.K == SDGNodeKind::Stmt) {
       StmtIndex[denseInstrKey(N.I)].push_back(N.Id);
     } else {
-      HeapIndex[std::make_tuple(N.K, heapAnchorKey(N.I, N.M), N.Part,
-                                N.Ctx)] = N.Id;
+      HeapIndex[heapKey(N)] = N.Id;
     }
   }
   IndexesValid = true;

@@ -48,10 +48,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <set>
-#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -233,6 +230,19 @@ public:
   /// Adds an edge if not already present; returns true when new.
   bool addEdge(unsigned From, unsigned To, SDGEdgeKind K,
                const CallInstr *Site = nullptr);
+
+  /// Appends an edge without the duplicate check — the cold build's
+  /// path (DESIGN.md section 17). The builder calls
+  /// removeDuplicateEdges() once at the end, before anything reads
+  /// the edge list.
+  void appendEdge(unsigned From, unsigned To, SDGEdgeKind K,
+                  const CallInstr *Site = nullptr);
+
+  /// Drops every edge equal to an earlier one. The first occurrence
+  /// wins, so the survivors keep the order and ids a run of checked
+  /// addEdge calls would have given them. EdgeDedup is left lazy, as
+  /// after decode().
+  void removeDuplicateEdges();
 
   //===------------------------------------------------------------------===//
   // Incremental maintenance (used by patchSDGIncremental)
@@ -508,14 +518,53 @@ private:
   /// needs it (IndexesValid below).
   std::unordered_map<uint64_t, std::vector<unsigned>> StmtIndex;
   /// Exact node identity: (kind, dense anchor, partition/operand,
-  /// ctx). Lazy after decode(), like StmtIndex.
-  std::map<std::tuple<SDGNodeKind, uint64_t, unsigned, unsigned>, unsigned>
-      HeapIndex;
+  /// ctx).
+  struct HeapKey {
+    SDGNodeKind K;
+    uint64_t Anchor;
+    unsigned Part;
+    unsigned Ctx;
+    bool operator==(const HeapKey &) const = default;
+  };
+  /// Exact edge identity: (from, to, kind, dense site key).
+  struct EdgeKey {
+    unsigned From;
+    unsigned To;
+    SDGEdgeKind K;
+    uint64_t Site;
+    bool operator==(const EdgeKey &) const = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const HeapKey &H) const {
+      return mix(H.Anchor, (uint64_t(H.Part) << 32 | H.Ctx) * 8 +
+                               static_cast<unsigned>(H.K));
+    }
+    std::size_t operator()(const EdgeKey &E) const {
+      return mix(E.Site, (uint64_t(E.From) << 32 | E.To) * 8 +
+                             static_cast<unsigned>(E.K));
+    }
+    static std::size_t mix(uint64_t A, uint64_t B) {
+      uint64_t X = A * 0x9E3779B97F4A7C15ull ^ B;
+      X ^= X >> 31;
+      X *= 0xBF58476D1CE4E5B9ull;
+      return static_cast<std::size_t>(X ^ (X >> 29));
+    }
+  };
+  static HeapKey heapKey(const SDGNode &N) {
+    return {N.K, heapAnchorKey(N.I, N.M), N.Part, N.Ctx};
+  }
+  static EdgeKey edgeKey(const SDGEdge &E) {
+    return {E.From, E.To, E.K, siteKey(E.Site)};
+  }
+  /// Heap node identity -> id. Never iterated, so a hash map. Lazy
+  /// after decode(), like StmtIndex.
+  std::unordered_map<HeapKey, unsigned, KeyHash> HeapIndex;
   bool IndexesValid = true;
   /// Exact edge identity: a silently merged or dropped edge would
-  /// corrupt slices. Unpopulated after decode() until the first
-  /// mutation needs it (DedupValid below).
-  std::set<std::tuple<unsigned, unsigned, SDGEdgeKind, uint64_t>> EdgeDedup;
+  /// corrupt slices. Never iterated, so a hash set. Unpopulated after
+  /// a cold build or decode() until the first checked mutation needs
+  /// it (DedupValid below).
+  std::unordered_set<EdgeKey, KeyHash> EdgeDedup;
   bool DedupValid = true;
   unsigned NumStmts = 0;
   unsigned NumDead = 0;

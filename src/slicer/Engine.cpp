@@ -2,6 +2,7 @@
 
 #include "slicer/Engine.h"
 
+#include "slicer/Condense.h"
 #include "support/BitSet.h"
 #include "support/ThreadPool.h"
 
@@ -11,111 +12,17 @@
 
 using namespace tsl;
 
-//===----------------------------------------------------------------------===//
-// SCC condensation of the mode-masked subgraph
-//===----------------------------------------------------------------------===//
-
-namespace tsl {
-
-/// Condensation of the masked SDG subgraph. Component ids are Tarjan
-/// pop order, which gives the key invariant: for every cross-component
-/// edge From -> To, Comp[To] < Comp[From]. A sweep over components in
-/// increasing id therefore sees each edge's To side fully propagated
-/// before its From side — backward reachability for a whole chunk of
-/// queries is one linear pass.
-struct BatchCondensation {
-  std::vector<unsigned> Comp;      ///< Node -> component id.
-  std::vector<unsigned> MemberOff; ///< Component -> members offset.
-  std::vector<unsigned> Members;   ///< Node ids grouped by component.
-  unsigned NumComps = 0;
-};
-
-} // namespace tsl
-
 namespace {
 
-/// Iterative Tarjan over the masked out-adjacency (explicit DFS stack;
-/// the masked neighbor list of a frame is resumable via neighbor-run
-/// pointers, one run per contiguous slot interval of the mask).
-BatchCondensation condense(const SDG &G, const EdgeKindRuns &Runs) {
-  const unsigned NN = G.numNodes();
-  BatchCondensation C;
-  C.Comp.assign(NN, 0);
-  std::vector<unsigned> Index(NN, 0), Low(NN, 0);
-  std::vector<char> OnStack(NN, 0);
-  std::vector<unsigned> Stack;
-  struct Frame {
-    unsigned Node;
-    unsigned Run;
-    const unsigned *Pos, *End;
-  };
-  std::vector<Frame> DFS;
-  unsigned Counter = 0;
-  auto Open = [&](unsigned V) {
-    Index[V] = Low[V] = ++Counter;
-    Stack.push_back(V);
-    OnStack[V] = 1;
-    DFS.push_back({V, 0, nullptr, nullptr});
-  };
-  for (unsigned Root = 0; Root != NN; ++Root) {
-    if (Index[Root])
-      continue;
-    Open(Root);
-    while (!DFS.empty()) {
-      Frame &F = DFS.back();
-      unsigned Next = 0;
-      bool Have = false;
-      while (true) {
-        if (F.Pos == F.End) {
-          if (F.Run == Runs.NumRuns)
-            break;
-          IdRange R = G.outNeighborRun(F.Node, Runs.Runs[F.Run].Begin,
-                                       Runs.Runs[F.Run].End);
-          F.Pos = R.begin();
-          F.End = R.end();
-          ++F.Run;
-          continue;
-        }
-        Next = *F.Pos++;
-        Have = true;
-        break;
-      }
-      if (Have) {
-        if (!Index[Next])
-          Open(Next); // Invalidates F; re-fetched next iteration.
-        else if (OnStack[Next] && Index[Next] < Low[F.Node])
-          Low[F.Node] = Index[Next];
-        continue;
-      }
-      const unsigned V = F.Node;
-      const unsigned Lv = Low[V];
-      DFS.pop_back();
-      if (!DFS.empty() && Lv < Low[DFS.back().Node])
-        Low[DFS.back().Node] = Lv;
-      if (Lv == Index[V]) {
-        const unsigned Id = C.NumComps++;
-        while (true) {
-          unsigned X = Stack.back();
-          Stack.pop_back();
-          OnStack[X] = 0;
-          C.Comp[X] = Id;
-          if (X == V)
-            break;
-        }
-      }
-    }
-  }
-  // Member lists by counting sort.
-  C.MemberOff.assign(C.NumComps + 1, 0);
-  for (unsigned V = 0; V != NN; ++V)
-    ++C.MemberOff[C.Comp[V] + 1];
-  for (unsigned I = 1; I <= C.NumComps; ++I)
-    C.MemberOff[I] += C.MemberOff[I - 1];
-  C.Members.resize(NN);
-  std::vector<unsigned> Cur(C.MemberOff.begin(), C.MemberOff.end() - 1);
-  for (unsigned V = 0; V != NN; ++V)
-    C.Members[Cur[C.Comp[V]]++] = V;
-  return C;
+/// The condensation of the masked SDG subgraph the batch sweeps run
+/// over.
+SccCondensation condenseMasked(const SDG &G, const EdgeKindRuns &Runs) {
+  return condense(
+      G.numNodes(), Runs.NumRuns,
+      [&](unsigned V, unsigned R) {
+        return G.outNeighborRun(V, Runs.Runs[R].Begin, Runs.Runs[R].End);
+      },
+      [](unsigned Id) { return Id; });
 }
 
 /// One deduplicated query: the seed's expanded node set plus a
@@ -143,7 +50,7 @@ std::vector<unsigned> nodesOf(const SDG &G, const Instr *I) {
 /// — mutually reachable nodes belong to exactly the same slices — and
 /// ends up in the node set of each lane its label names.
 template <bool Forward>
-void sweepChunk(const SDG &G, const BatchCondensation &C,
+void sweepChunk(const SDG &G, const SccCondensation &C,
                 const EdgeKindRuns &Runs, std::vector<uint64_t> &Label,
                 std::vector<BitSet> &Out, SharedBudgetGate &Gate) {
   const std::vector<unsigned> &MemberOff = C.MemberOff;
@@ -282,7 +189,7 @@ SliceEngine::SliceEngine(const SDG &G,
 
 SliceEngine::~SliceEngine() = default;
 
-std::shared_ptr<const BatchCondensation>
+std::shared_ptr<const SccCondensation>
 SliceEngine::condensationFor(EdgeKindMask Mask) {
   const std::pair<uint64_t, EdgeKindMask> Key{G.epoch(), Mask};
   std::lock_guard<std::mutex> L(CondMu);
@@ -294,8 +201,8 @@ SliceEngine::condensationFor(EdgeKindMask Mask) {
   // Evict condensations of stale epochs before inserting.
   for (auto I = CondCache.begin(); I != CondCache.end();)
     I = I->first.first != G.epoch() ? CondCache.erase(I) : std::next(I);
-  auto C = std::make_shared<const BatchCondensation>(
-      condense(G, edgeKindRuns(Mask)));
+  auto C = std::make_shared<const SccCondensation>(
+      condenseMasked(G, edgeKindRuns(Mask)));
   CondCache.emplace(Key, C);
   return C;
 }
@@ -356,7 +263,7 @@ std::vector<SliceResult> SliceEngine::run(const SliceQuery &Q,
   // back as an *empty degraded* result carrying the gate's reason. An
   // unanswerable query fails the same way, before any work.
   std::optional<TabulationSlicer> Tab;
-  std::shared_ptr<const BatchCondensation> Cond;
+  std::shared_ptr<const SccCondensation> Cond;
   std::optional<SliceResult> ToSink;
   std::string Failure = Q.conflict();
   if (Failure.empty() && Q.Direction == SliceDirection::Chop && !Q.ChopSink)

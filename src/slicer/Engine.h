@@ -85,8 +85,8 @@ struct BatchStats {
 };
 
 /// The SCC condensation of one mode-masked SDG subgraph (defined in
-/// Engine.cpp); cached per (epoch, mask) inside the engine.
-struct BatchCondensation;
+/// slicer/Condense.h); cached per (epoch, mask) inside the engine.
+struct SccCondensation;
 
 /// The slice-query engine over one SDG. Construction finalizes the
 /// graph if needed; run() may be called repeatedly (stats describe the
@@ -124,7 +124,7 @@ public:
 private:
   /// Condensation for \p Mask at the graph's current epoch, building
   /// and caching it on a miss. Stale-epoch entries are evicted.
-  std::shared_ptr<const BatchCondensation> condensationFor(EdgeKindMask Mask);
+  std::shared_ptr<const SccCondensation> condensationFor(EdgeKindMask Mask);
 
   const SDG &G;
   std::function<ThreadPool *()> SharedPool;
@@ -132,7 +132,7 @@ private:
   BatchStats Stats;
   std::mutex CondMu;
   std::map<std::pair<uint64_t, EdgeKindMask>,
-           std::shared_ptr<const BatchCondensation>>
+           std::shared_ptr<const SccCondensation>>
       CondCache;
 };
 

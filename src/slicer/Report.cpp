@@ -6,7 +6,6 @@
 #include "support/BitSet.h"
 
 #include <algorithm>
-#include <deque>
 #include <set>
 
 using namespace tsl;
@@ -33,26 +32,24 @@ const char *reasonFor(SDGEdgeKind K) {
 
 } // namespace
 
-SliceNarration tsl::narrateSlice(const SDG &G, const Instr *Seed,
+SliceNarration tsl::narrateSlice(const SliceResult &Slice, const Instr *Seed,
                                  SliceMode Mode) {
+  const SDG &G = Slice.graph();
   std::vector<NarrationStep> Steps;
   BitSet Visited(G.numNodes());
-  std::deque<NarrationStep> Queue;
+  auto Reach = [&](const NarrationStep &Step) {
+    if (Slice.containsNode(Step.Node) && Visited.insert(Step.Node))
+      Steps.push_back(Step);
+  };
   for (unsigned Node : G.nodesFor(Seed))
-    if (Visited.insert(Node))
-      Queue.push_back({Node, -1, SDGEdgeKind::Flow, 0});
-
-  while (!Queue.empty()) {
-    NarrationStep Step = Queue.front();
-    Queue.pop_front();
-    Steps.push_back(Step);
+    Reach({Node, -1, SDGEdgeKind::Flow, 0});
+  // Steps doubles as the breadth-first queue.
+  for (std::size_t Head = 0; Head != Steps.size(); ++Head) {
+    const NarrationStep Step = Steps[Head];
     for (unsigned EdgeId : G.inEdges(Step.Node)) {
       const SDGEdge &E = G.edge(EdgeId);
-      if (!sliceFollowsEdge(Mode, E.K))
-        continue;
-      if (Visited.insert(E.From))
-        Queue.push_back({E.From, static_cast<int>(Step.Node), E.K,
-                         Step.Depth + 1});
+      if (sliceFollowsEdge(Mode, E.K))
+        Reach({E.From, static_cast<int>(Step.Node), E.K, Step.Depth + 1});
     }
   }
   return SliceNarration(G, std::move(Steps));

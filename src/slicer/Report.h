@@ -52,9 +52,13 @@ private:
   std::vector<NarrationStep> Steps;
 };
 
-/// Explores the Mode-slice of \p Seed breadth-first and records how
-/// each statement was reached.
-SliceNarration narrateSlice(const SDG &G, const Instr *Seed, SliceMode Mode);
+/// Narrates \p Slice, the computed Mode-slice of \p Seed: explores it
+/// breadth-first from the seed over the edges Mode follows, visiting
+/// only the slice's own nodes, and records how each statement was
+/// reached. A slice the budget cut short is narrated as computed —
+/// never a statement outside it.
+SliceNarration narrateSlice(const SliceResult &Slice, const Instr *Seed,
+                            SliceMode Mode);
 
 //===----------------------------------------------------------------------===//
 // Shared query-report rendering. The thinslice CLI, its REPL, and the

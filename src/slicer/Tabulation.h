@@ -7,10 +7,18 @@
 /// \file
 /// Context-sensitive backward slicing as a partially balanced
 /// parentheses problem (paper Section 5.3, following Reps [20] and
-/// Horwitz-Reps-Binkley [11]): summary edges are computed by a
-/// tabulation-style worklist algorithm, then a slice is two phases of
-/// reachability — phase 1 ascends into callers (never follows
-/// param-out), phase 2 descends into callees (never follows param-in).
+/// Horwitz-Reps-Binkley [11]): summary edges (actual-in -> actual-out
+/// shortcuts for every same-level path through a callee) are computed
+/// once per graph, then a slice is two phases of reachability — phase
+/// 1 ascends into callers (never follows param-out), phase 2 descends
+/// into callees (never follows param-in).
+///
+/// Summaries are computed callee-first, one procedure at a time: each
+/// node carries a bit-vector over its own procedure's formal-outs, a
+/// non-recursive procedure is one pull sweep over the condensation of
+/// its same-level edges plus the summaries its callees emitted, and
+/// only recursive procedure SCCs run a worklist (DESIGN.md section
+/// 16).
 ///
 /// Use with an SDG built with SDGOptions::ContextSensitive; on a
 /// context-insensitive graph the direct interprocedural heap edges
@@ -32,8 +40,6 @@
 #include <memory>
 #include <mutex>
 #include <tuple>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace tsl {
 
@@ -45,13 +51,20 @@ namespace tsl {
 /// an artifact of one query's budget, not of the graph. Thread-safe.
 class SummaryCache {
 public:
-  /// One cached summary set: the summary adjacency (for each
-  /// actual-out node, its summary sources) plus its statistics.
+  /// One cached summary set: the summary adjacency as CSR over the
+  /// graph's nodes (the summary sources of actual-out N are
+  /// Src[Off[N] .. Off[N+1]), ascending and unique) plus its
+  /// statistics.
   struct Entry {
-    std::unordered_map<unsigned, std::vector<unsigned>> SummaryIn;
+    std::vector<unsigned> Off;
+    std::vector<unsigned> Src;
     unsigned NumSummaries = 0;
     bool Partial = false;
     std::string PartialReason;
+
+    IdRange sourcesOf(unsigned Node) const {
+      return {Src.data() + Off[Node], Src.data() + Off[Node + 1]};
+    }
   };
 
   /// Returns the cached entry for (\p G at its current epoch, \p Mode)
@@ -114,9 +127,12 @@ public:
   /// recomputed.
   bool summariesFromCache() const { return FromCache; }
 
+  /// The summary set slices follow.
+  const SummaryCache::Entry &summaries() const { return *S; }
+
 private:
-  /// Intraprocedural (same-level) edge kinds for this mode.
-  EdgeKindMask intraMask() const {
+  /// Intraprocedural (same-level) edge kinds for \p Mode.
+  static EdgeKindMask intraMask(SliceMode Mode) {
     EdgeKindMask Mask = edgeKindMask(SDGEdgeKind::Flow);
     if (Mode == SliceMode::Traditional)
       Mask |= edgeKindMask(SDGEdgeKind::BaseFlow) |

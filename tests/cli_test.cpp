@@ -13,7 +13,9 @@
 #include <fstream>
 #include <algorithm>
 #include <iterator>
+#include <sstream>
 #include <string>
+#include <vector>
 #include <sys/wait.h>
 
 namespace {
@@ -112,6 +114,42 @@ TEST_F(CliTest, WhyNarratesProvenance) {
   EXPECT_NE(Out.find("[seed]"), std::string::npos) << Out;
   EXPECT_NE(Out.find("produces the value used by"), std::string::npos)
       << Out;
+}
+
+// --why narrates the slice the budget produced, not a fresh unbudgeted
+// traversal: under --max-slice-stmts every narrated statement is one
+// the degraded slice report lists, and the narration is shorter than
+// the unbudgeted one.
+TEST_F(CliTest, WhyNarratesOnlyTheDegradedSlice) {
+  // The "Class.method:line" token opening each narration or report
+  // entry (status lines like "pta: complete" have no line number).
+  auto Entries = [](const std::string &Out) {
+    std::vector<std::string> Got;
+    std::istringstream In(Out);
+    std::string Token, Rest;
+    for (std::string Line; std::getline(In, Line);) {
+      std::istringstream Words(Line);
+      if (!(Words >> Token))
+        continue;
+      std::size_t Colon = Token.rfind(':');
+      if (Colon != std::string::npos && Colon + 1 < Token.size() &&
+          Token.find_first_not_of("0123456789", Colon + 1) ==
+              std::string::npos)
+        Got.push_back(Token);
+    }
+    return Got;
+  };
+  // Line 15 is the print statement the failure shows at.
+  std::vector<std::string> Report =
+      Entries(run("--line 15 --max-slice-stmts 2"));
+  std::string Why = run("--line 15 --why --max-slice-stmts 2");
+  std::vector<std::string> Narrated = Entries(Why);
+  ASSERT_FALSE(Narrated.empty()) << Why;
+  for (const std::string &E : Narrated)
+    EXPECT_NE(std::find(Report.begin(), Report.end(), E), Report.end())
+        << E << " is narrated but not in the degraded slice:\n"
+        << Why;
+  EXPECT_LT(Narrated.size(), Entries(run("--line 15 --why")).size());
 }
 
 TEST_F(CliTest, StatsAndDumpIr) {

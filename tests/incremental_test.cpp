@@ -33,8 +33,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 using namespace tsl;
@@ -332,3 +334,78 @@ TEST_P(IncrementalDifferential, ChainedEditStreamMatchesColdAtEveryStep) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, IncrementalDifferential,
                          ::testing::Values(1u, 4u));
+
+namespace {
+
+/// The live edges of \p G as a sorted multiset of canonical strings:
+/// each endpoint by kind, method, source line and instruction text
+/// (plus its partition), the edge by kind and call-site line. Node
+/// ids and context numbers are left out — a patch may permute both.
+std::vector<std::string> edgeSignature(const SDG &G) {
+  const Program &P = G.program();
+  auto NodeName = [&](unsigned Id) {
+    const SDGNode &N = G.node(Id);
+    std::string S = std::to_string(static_cast<int>(N.K)) + "/";
+    if (N.M)
+      S += N.M->qualifiedName(P.strings());
+    if (N.I)
+      S += ":" + std::to_string(N.I->loc().Line) + ":" + N.I->str(P);
+    return S + "/" + std::to_string(N.Part);
+  };
+  std::vector<std::string> Out;
+  for (unsigned Id = 0; Id != G.numEdges(); ++Id) {
+    const SDGEdge &E = G.edge(Id);
+    Out.push_back(NodeName(E.From) + " -" + sdgEdgeKindName(E.K) + "-> " +
+                  NodeName(E.To) + " @" +
+                  (E.Site ? std::to_string(E.Site->loc().Line) : "-"));
+  }
+  std::sort(Out.begin(), Out.end());
+  return Out;
+}
+
+/// True when no edge of \p G is a duplicate: the edge list holds each
+/// (from, to, kind, site) once, and re-adding any edge through the
+/// checked addEdge is refused.
+bool holdsNoDuplicateEdge(SDG &G) {
+  const unsigned NumEdges = G.numEdges();
+  std::set<std::tuple<unsigned, unsigned, SDGEdgeKind, const void *>> Distinct;
+  for (unsigned Id = 0; Id != NumEdges; ++Id) {
+    const SDGEdge &E = G.edge(Id);
+    Distinct.insert({E.From, E.To, E.K, E.Site});
+  }
+  if (Distinct.size() != NumEdges)
+    return false;
+  for (unsigned Id = 0; Id != NumEdges; ++Id) {
+    const SDGEdge E = G.edge(Id);
+    if (G.addEdge(E.From, E.To, E.K, E.Site))
+      return false;
+  }
+  return true;
+}
+
+} // namespace
+
+// A cold build appends its edges unchecked and leaves the edge-dedup
+// set lazy, so the first SDG patch of a session is the first user to
+// rebuild it. The patched graph must hold exactly the edges of a cold
+// build of the edited source, none of them twice.
+TEST(IncrementalPatch, FirstPatchOfColdGraphMatchesColdBuild) {
+  for (const EditScript &Script : editScripts()) {
+    if (!Script.ExpectApplied)
+      continue;
+    AnalysisSession S{std::string(BaseSource)};
+    S.setIncremental(true);
+    ASSERT_NE(S.sdg(), nullptr) << Script.Name;
+    S.setSource(Script.Edited);
+    SDG *Patched = S.sdg();
+    ASSERT_NE(Patched, nullptr) << Script.Name;
+    EXPECT_EQ(S.incrementalStats().SdgPatches, 1u) << Script.Name;
+
+    AnalysisSession Cold(Script.Edited);
+    SDG *Ref = Cold.sdg();
+    ASSERT_NE(Ref, nullptr) << Script.Name;
+    EXPECT_EQ(Patched->numEdges(), Ref->numEdges()) << Script.Name;
+    EXPECT_EQ(edgeSignature(*Patched), edgeSignature(*Ref)) << Script.Name;
+    EXPECT_TRUE(holdsNoDuplicateEdge(*Patched)) << Script.Name;
+  }
+}

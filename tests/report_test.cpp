@@ -41,6 +41,11 @@ struct Fixture {
   }
 };
 
+/// The narration of the Mode-slice of \p Seed.
+SliceNarration narrate(const Fixture &F, const Instr *Seed, SliceMode Mode) {
+  return narrateSlice(sliceBackward(*F.G, Seed, Mode), Seed, Mode);
+}
+
 } // namespace
 
 TEST(Report, SeedFirstAndDepthsMonotoneInBfsOrder) {
@@ -51,7 +56,7 @@ def main() {
   print(b);
 }
 )");
-  SliceNarration Story = narrateSlice(*F.G, F.lastAtLine(5), SliceMode::Thin);
+  SliceNarration Story = narrate(F, F.lastAtLine(5), SliceMode::Thin);
   const auto &Steps = Story.steps();
   ASSERT_FALSE(Steps.empty());
   EXPECT_EQ(Steps.front().ViaNode, -1);
@@ -66,8 +71,8 @@ def main() {
 TEST(Report, EveryStepHasReachedProvenance) {
   Fixture F(makeFigure1().Source);
   WorkloadProgram W = makeFigure1();
-  SliceNarration Story = narrateSlice(
-      *F.G, F.lastAtLine(W.markerLine("seed")), SliceMode::Thin);
+  SliceNarration Story =
+      narrate(F, F.lastAtLine(W.markerLine("seed")), SliceMode::Thin);
   // Each non-seed step's ViaNode must itself appear earlier.
   BitSet Seen;
   for (const NarrationStep &Step : Story.steps()) {
@@ -91,8 +96,7 @@ def main() {
   print(r == null);
 }
 )");
-  SliceNarration Story = narrateSlice(*F.G, F.lastAtLine(10),
-                                      SliceMode::Thin);
+  SliceNarration Story = narrate(F, F.lastAtLine(10), SliceMode::Thin);
   std::string Text = Story.str();
   EXPECT_NE(Text.find("[seed]"), std::string::npos);
   EXPECT_NE(Text.find("produces the value used by"), std::string::npos);
@@ -101,8 +105,8 @@ def main() {
   EXPECT_EQ(Text.find("base pointer"), std::string::npos);
   EXPECT_EQ(Text.find("controls whether"), std::string::npos);
 
-  SliceNarration Trad = narrateSlice(*F.G, F.lastAtLine(10),
-                                     SliceMode::Traditional);
+  SliceNarration Trad =
+      narrate(F, F.lastAtLine(10), SliceMode::Traditional);
   EXPECT_NE(Trad.str().find("base pointer"), std::string::npos);
 }
 
@@ -113,7 +117,7 @@ def main() {
   print(a);
 }
 )");
-  SliceNarration Story = narrateSlice(*F.G, F.lastAtLine(4), SliceMode::Thin);
+  SliceNarration Story = narrate(F, F.lastAtLine(4), SliceMode::Thin);
   // With an offset of 1, line 4 renders as 3.
   std::string Text = Story.str(1);
   EXPECT_NE(Text.find("main:3"), std::string::npos);
@@ -124,8 +128,8 @@ TEST(Report, NarrationCoversTheThinSliceLines) {
   WorkloadProgram W = makeFigure1();
   Fixture F(W.Source);
   const Instr *Seed = F.lastAtLine(W.markerLine("seed"));
-  SliceNarration Story = narrateSlice(*F.G, Seed, SliceMode::Thin);
   SliceResult Slice = sliceBackward(*F.G, Seed, SliceMode::Thin);
+  SliceNarration Story = narrateSlice(Slice, Seed, SliceMode::Thin);
   // Every narration node is in the slice and vice versa.
   BitSet Narrated;
   for (const NarrationStep &Step : Story.steps())
@@ -135,4 +139,23 @@ TEST(Report, NarrationCoversTheThinSliceLines) {
   EXPECT_NE(Story.str().find(
                 ":" + std::to_string(W.markerLine("bug"))),
             std::string::npos);
+}
+
+// A budget-degraded slice is narrated as computed: every narrated node
+// is in the slice, and the narration stops where the slice stopped.
+TEST(Report, NarrationStaysInsideADegradedSlice) {
+  WorkloadProgram W = makeFigure1();
+  Fixture F(W.Source);
+  const Instr *Seed = F.lastAtLine(W.markerLine("seed"));
+  AnalysisBudget B;
+  B.MaxSlicePops = 2;
+  SliceResult Cut = sliceBackward(*F.G, Seed, SliceMode::Thin, &B);
+  ASSERT_FALSE(Cut.complete());
+  SliceNarration Story = narrateSlice(Cut, Seed, SliceMode::Thin);
+  BitSet Narrated;
+  for (const NarrationStep &Step : Story.steps())
+    Narrated.insert(Step.Node);
+  EXPECT_TRUE(Narrated == Cut.nodeSet());
+  EXPECT_LT(Story.steps().size(),
+            narrate(F, Seed, SliceMode::Thin).steps().size());
 }

@@ -1,5 +1,6 @@
 //===-- sdg_test.cpp - SDG construction unit tests ------------------------------==//
 
+#include "eval/Workload.h"
 #include "lang/Lower.h"
 #include "pipeline/Session.h"
 #include "modref/ModRef.h"
@@ -7,6 +8,9 @@
 #include "sdg/SDG.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <tuple>
 
 using namespace tsl;
 
@@ -292,4 +296,37 @@ TEST(SDG, EdgeDeduplication) {
     for (unsigned EdgeId : F.G->inEdges(Node))
       FlowIn += F.G->edge(EdgeId).K == SDGEdgeKind::Flow;
   EXPECT_EQ(FlowIn, 1u);
+}
+
+// A cold build appends edges unchecked and removes duplicates once at
+// the end: no edge of a cold CI or CS graph may be a duplicate — the
+// edge list holds each (from, to, kind, site) once, and re-adding any
+// edge through the checked addEdge is refused without a mutation.
+TEST(SDG, ColdGraphsHoldNoDuplicateEdge) {
+  std::vector<std::string> Sources;
+  for (const BugCase &Case : debuggingCases())
+    Sources.push_back(Case.Prog.Source);
+  for (const CastCase &Case : toughCastCases())
+    Sources.push_back(Case.Prog.Source);
+  for (const std::string &Source : Sources)
+    for (bool CS : {false, true}) {
+      Fixture F(Source, CS);
+      ASSERT_NE(F.G, nullptr);
+      const unsigned NumEdges = F.G->numEdges();
+      const uint64_t Epoch = F.G->epoch();
+      std::set<std::tuple<unsigned, unsigned, SDGEdgeKind, const void *>>
+          Distinct;
+      for (unsigned Id = 0; Id != NumEdges; ++Id) {
+        const SDGEdge &E = F.G->edge(Id);
+        Distinct.insert({E.From, E.To, E.K, E.Site});
+      }
+      EXPECT_EQ(Distinct.size(), NumEdges) << (CS ? "cs" : "ci");
+      for (unsigned Id = 0; Id != NumEdges; ++Id) {
+        const SDGEdge E = F.G->edge(Id);
+        ASSERT_FALSE(F.G->addEdge(E.From, E.To, E.K, E.Site))
+            << (CS ? "cs" : "ci") << " edge " << Id;
+      }
+      EXPECT_EQ(F.G->numEdges(), NumEdges);
+      EXPECT_EQ(F.G->epoch(), Epoch); // A refused edge mutates nothing.
+    }
 }

@@ -1015,7 +1015,7 @@ int runTool(int argc, char **argv) {
 
   const SliceResult &Slice = Results->front();
   if (Opts.Why) {
-    SliceNarration Story = narrateSlice(*G, Q.Seeds.front(), Opts.Mode);
+    SliceNarration Story = narrateSlice(Slice, Q.Seeds.front(), Opts.Mode);
     printf("%s", Story.str(LineOffset).c_str());
     return Finish(&Slice);
   }
