@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -162,15 +161,6 @@ unsigned AnalysisSession::threadsResolved() const {
     return Threads;
   unsigned HW = std::thread::hardware_concurrency();
   return HW ? HW : 1;
-}
-
-ThreadPool *AnalysisSession::pool() {
-  unsigned N = threadsResolved();
-  if (N <= 1)
-    return nullptr;
-  if (Pools.empty() || Pools.back()->concurrency() != N)
-    Pools.push_back(std::make_unique<ThreadPool>(N));
-  return Pools.back().get();
 }
 
 //===----------------------------------------------------------------------===//
@@ -953,9 +943,7 @@ SliceEngine *AnalysisSession::engine() {
   auto R = computeStage("engine", Budget, LastErr, StageFailures,
                         StageRetries, Tainted,
                         [&] {
-                          // Only a run needing workers creates the pool.
-                          return std::make_unique<SliceEngine>(
-                              *G, [this] { return pool(); });
+                          return std::make_unique<SliceEngine>(*G, &Pool);
                         });
   C.Seconds += secondsSince(T0);
   if (!R)
@@ -1008,59 +996,6 @@ const SliceResult *AnalysisSession::sliceBackwardCached(const Instr *Seed,
 }
 
 //===----------------------------------------------------------------------===//
-// Status-returning boundary accessors
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Null artifact -> the session's recorded Status (never Ok: fall back
-/// to a generic Internal if a path forgot to record one).
-Status errorOr(const Status &Err, const char *What) {
-  if (!Err.isOk())
-    return Err;
-  return Status(StatusCode::Internal, std::string(What) + " unavailable");
-}
-
-} // namespace
-
-Expected<Program *> AnalysisSession::programChecked() {
-  if (Program *P = program())
-    return P;
-  return errorOr(LastErr, "program");
-}
-
-Expected<PointsToResult *> AnalysisSession::pointsToChecked() {
-  if (PointsToResult *R = pointsTo())
-    return R;
-  return errorOr(LastErr, "points-to");
-}
-
-Expected<ModRefResult *> AnalysisSession::modRefChecked() {
-  if (ModRefResult *R = modRef())
-    return R;
-  return errorOr(LastErr, "mod-ref");
-}
-
-Expected<SDG *> AnalysisSession::sdgChecked() {
-  if (SDG *G = sdg())
-    return G;
-  return errorOr(LastErr, "sdg");
-}
-
-Expected<SliceEngine *> AnalysisSession::engineChecked() {
-  if (SliceEngine *E = engine())
-    return E;
-  return errorOr(LastErr, "engine");
-}
-
-Expected<const SliceResult *>
-AnalysisSession::sliceBackwardChecked(const Instr *Seed, SliceMode Mode) {
-  if (const SliceResult *R = sliceBackwardCached(Seed, Mode))
-    return R;
-  return errorOr(LastErr, "slice");
-}
-
-//===----------------------------------------------------------------------===//
 // Governance and telemetry
 //===----------------------------------------------------------------------===//
 
@@ -1092,61 +1027,7 @@ std::vector<StageReport> AnalysisSession::stageReports() const {
   return Out;
 }
 
-uint64_t AnalysisSession::statsFingerprint() const {
-  uint64_t H = 1469598103934665603ull;
-  auto Mix = [&H](uint64_t V) {
-    H ^= V;
-    H *= 1099511628211ull;
-    H ^= H >> 29;
-  };
-  auto MixD = [&](double D) {
-    uint64_t Bits;
-    std::memcpy(&Bits, &D, sizeof(Bits));
-    Mix(Bits);
-  };
-  for (unsigned I = 0; I != NumSessionStages; ++I) {
-    Mix(Counters[I].Hits);
-    Mix(Counters[I].Misses);
-    Mix(Counters[I].Invalidated);
-    MixD(Counters[I].Seconds);
-    Mix(Epochs[I]);
-  }
-  Mix(threadsResolved());
-  Mix(Pools.size());
-  for (const auto &P : Pools) {
-    Mix(P->tasksExecuted());
-    Mix(P->tasksStolen());
-  }
-  Mix(StageFailures);
-  Mix(StageRetries);
-  Mix(IncStats.Attempts);
-  Mix(IncStats.Applied);
-  Mix(IncStats.FunctionsReused);
-  Mix(IncStats.FunctionsRecompiled);
-  Mix(IncStats.PtaUpdates);
-  Mix(IncStats.ModRefUpdates);
-  Mix(IncStats.SdgPatches);
-  Mix(IncStats.ColdFallbacks);
-  Mix(IncStats.StageFallbacks);
-  Mix(fnv1a(IncStats.LastFallbackReason));
-  Mix(SnapStats.Saves);
-  Mix(SnapStats.Loads);
-  Mix(SnapStats.Fallbacks);
-  Mix(SnapStats.CacheHits);
-  Mix(SnapStats.CacheMisses);
-  Mix(SnapStats.CacheEvictions);
-  Mix(fnv1a(SnapStats.LastFallbackReason));
-  return H;
-}
-
 std::string AnalysisSession::statsString() const {
-  // Every counter the rendering reads feeds the fingerprint, so the
-  // memo can never serve a stale string; the common case — tooling
-  // polling stats between queries — skips all the formatting.
-  const uint64_t Fp = statsFingerprint();
-  if (StatsMemoValid && Fp == StatsMemoFp)
-    return StatsMemo;
-
   std::string Out = "session stages (memoization):\n";
   char Buf[160];
   for (const StageReport &R : stageReports()) {
@@ -1158,17 +1039,10 @@ std::string AnalysisSession::statsString() const {
              R.Seconds * 1000.0);
     Out += Buf;
   }
-  uint64_t Executed = 0, Stolen = 0;
-  for (const auto &P : Pools) {
-    Executed += P->tasksExecuted();
-    Stolen += P->tasksStolen();
-  }
   snprintf(Buf, sizeof(Buf),
-           "parallelism: threads=%u pool_workers=%u tasks=%llu stolen=%llu\n",
-           threadsResolved(),
-           Pools.empty() ? 0 : Pools.back()->numWorkers(),
-           static_cast<unsigned long long>(Executed),
-           static_cast<unsigned long long>(Stolen));
+           "parallelism: threads=%u pool_workers=%u tasks=%llu\n",
+           threadsResolved(), Pool.numWorkers(),
+           static_cast<unsigned long long>(Pool.tasksExecuted()));
   Out += Buf;
   if (StageFailures || StageRetries) {
     snprintf(Buf, sizeof(Buf),
@@ -1208,9 +1082,5 @@ std::string AnalysisSession::statsString() const {
   Out += Buf;
   if (!SnapStats.LastFallbackReason.empty())
     Out += "  last_fallback: " + SnapStats.LastFallbackReason + "\n";
-
-  StatsMemo = Out;
-  StatsMemoFp = Fp;
-  StatsMemoValid = true;
   return Out;
 }

@@ -38,9 +38,9 @@
 /// the budget is a destructive invalidation rather than a re-key.
 ///
 /// Threading: a session is confined to one thread. The SliceEngine it
-/// hands out fans batches across its own worker pool over the
-/// immutable finalized SDG; that reuse is exercised under TSan by the
-/// `pipeline` ctest label.
+/// hands out fans batches across the session's one worker pool over
+/// the immutable finalized SDG; that reuse is exercised under TSan by
+/// the `pipeline` ctest label.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -153,24 +153,19 @@ public:
   /// (the compiled program survives: compilation is ungoverned).
   void setBudget(const AnalysisBudget *B);
 
-  /// Sets the slice-batch concurrency: the total number of threads
-  /// (including the calling one) the shared pool offers to the
-  /// SliceEngine. The analysis stages always run sequentially. 0
-  /// means hardware concurrency; 1 runs batches inline with no pool
-  /// at all. Unlike the option setters this re-keys NOTHING — batch
-  /// results are byte-identical for every thread count, so a cached
-  /// artifact stays valid across setThreads calls (asserted by the
-  /// determinism tests). Pools already handed to cached engines stay
-  /// alive until the session dies.
+  /// Sets the slice-batch concurrency: the lanes (including the
+  /// calling thread) a query may use on the session's pool. The
+  /// analysis stages always run sequentially. 0 means hardware
+  /// concurrency; 1 runs batches inline and starts no worker. Unlike
+  /// the option setters this re-keys NOTHING — batch results are
+  /// byte-identical for every thread count, so a cached artifact stays
+  /// valid across setThreads calls (asserted by the determinism
+  /// tests).
   void setThreads(unsigned N) { Threads = N; }
   unsigned threads() const { return Threads; }
 
   /// Resolved thread count (hardware concurrency substituted for 0).
   unsigned threadsResolved() const;
-
-  /// The shared pool sized to threadsResolved(), created lazily; null
-  /// when the session is effectively single-threaded.
-  ThreadPool *pool();
 
   const PTAOptions &ptaOptions() const { return CurPta; }
   const SDGOptions &sdgOptions() const { return CurSdg; }
@@ -210,16 +205,6 @@ public:
   /// (including sound degradation — that is a usable result), the
   /// failure Status after a null return.
   const Status &lastError() const { return LastErr; }
-
-  /// Status-returning boundary accessors: the artifact, or the Status
-  /// explaining the null. Same memoization as the raw accessors.
-  Expected<Program *> programChecked();
-  Expected<PointsToResult *> pointsToChecked();
-  Expected<ModRefResult *> modRefChecked();
-  Expected<SDG *> sdgChecked();
-  Expected<SliceEngine *> engineChecked();
-  Expected<const SliceResult *> sliceBackwardChecked(const Instr *Seed,
-                                                     SliceMode Mode);
 
   /// Failure-isolation telemetry: stage computations that exhausted
   /// their retries, and individual retry attempts performed.
@@ -400,10 +385,6 @@ private:
   /// option digests and the snapshot format version.
   std::string snapshotCacheKey() const;
 
-  /// Fold of every counter statsString() renders; cheap enough to
-  /// compute per call, so the memo invalidates itself.
-  uint64_t statsFingerprint() const;
-
   // --- inputs
   std::string Source;
   uint64_t SourceDigest = 0;
@@ -413,12 +394,9 @@ private:
   const AnalysisBudget *Budget = nullptr;
   unsigned Threads = 1;
 
-  // --- shared worker pools. Declared before the artifact stores:
-  // cached SliceEngines fetch a pool from pool() whenever a run needs
-  // workers, so pools must be destroyed after them. setThreads never
-  // destroys a pool mid-session — a resize just makes the next pool()
-  // call append a fresh one, and retired pools idle until teardown.
-  std::vector<std::unique_ptr<ThreadPool>> Pools;
+  // --- the slice-batch pool. Declared before the artifact stores:
+  // cached SliceEngines run on it, so it is destroyed after them.
+  ThreadPool Pool;
 
   // --- artifact stores. Declaration order is lifetime order: every
   // downstream artifact holds references into its upstream (ModRef
@@ -473,10 +451,6 @@ private:
   IncrementalStats IncStats;
   std::string CacheDir;
   SnapshotStats SnapStats;
-  /// statsString() memo (see statsFingerprint()).
-  mutable std::string StatsMemo;
-  mutable uint64_t StatsMemoFp = 0;
-  mutable bool StatsMemoValid = false;
   /// Scan memo for the incremental differ: the previous source's token
   /// stream, so each edit lexes only its changed lines.
   ScanCache IncScanCache;

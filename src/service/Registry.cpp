@@ -107,7 +107,6 @@ SessionRegistry::acquire(const std::string &Source, bool CS,
   try {
     E->S = std::make_unique<AnalysisSession>(Source);
     E->S->setIncremental(Incremental);
-    E->S->setThreads(O.AnalysisThreads);
     SDGOptions SO;
     SO.ContextSensitive = CS;
     E->S->setSDGOptions(SO);

@@ -84,8 +84,7 @@ class SessionRegistry {
 public:
   struct Options {
     std::size_t MaxSessions = 8; ///< Warm sessions kept (LRU beyond).
-    unsigned AnalysisThreads = 1; ///< Per-session analysis pool size.
-    std::string CacheDir; ///< Snapshot cache for cross-restart warmth.
+    std::string CacheDir;        ///< Snapshot cache for cross-restart warmth.
   };
 
   explicit SessionRegistry(Options O) : O(std::move(O)) {}

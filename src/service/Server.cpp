@@ -17,10 +17,19 @@
 
 using namespace tsl;
 
+namespace {
+
+unsigned execSlots(unsigned Threads) {
+  if (Threads == 0)
+    Threads = std::thread::hardware_concurrency();
+  return Threads ? Threads : 1;
+}
+
+} // namespace
+
 SliceServer::SliceServer(ServerOptions Opts)
-    : O(std::move(Opts)), Pool(O.Threads),
-      Registry(SessionRegistry::Options{O.MaxSessions, O.AnalysisThreads,
-                                        O.CacheDir}) {}
+    : O(std::move(Opts)), ExecSlots(execSlots(O.Threads)),
+      Registry(SessionRegistry::Options{O.MaxSessions, O.CacheDir}) {}
 
 SliceServer::~SliceServer() {
   if (ListenFd >= 0)
@@ -203,13 +212,15 @@ void SliceServer::connectionLoop(Conn &C) {
     }
 
     ServiceResponse Resp;
+    ExecSlots.acquire();
     try {
-      Resp = Pool.submit([this, &Req] { return handle(Req); }).get();
+      Resp = handle(Req);
     } catch (const std::exception &E) {
       Resp = {ServiceStatus::Internal, "", E.what()};
     } catch (...) {
       Resp = {ServiceStatus::Internal, "", "unknown exception"};
     }
+    ExecSlots.release();
     InFlight.fetch_sub(1, std::memory_order_acq_rel);
 
     if (!Respond(Resp))
@@ -221,7 +232,7 @@ void SliceServer::connectionLoop(Conn &C) {
 }
 
 //===----------------------------------------------------------------------===//
-// Request handlers (run on the shared pool)
+// Request handlers (run on the connection thread)
 //===----------------------------------------------------------------------===//
 
 ServiceResponse SliceServer::handle(const ServiceRequest &Req) {
@@ -333,7 +344,7 @@ ServiceResponse SliceServer::handleQuery(const ServiceRequest &Req) {
 
   // A request-local engine over the shared immutable graph: queries
   // from concurrent clients stay independent (each runs inline on its
-  // own pool lane; the request fan-out IS the parallelism). The
+  // connection thread; the request fan-out IS the parallelism). The
   // session's SummaryCache is thread-safe, so shared-lock readers may
   // consult (and populate) it concurrently; summaries depend only on
   // (graph epoch, mode), which the exclusive edit path bumps.
@@ -394,9 +405,7 @@ ServiceResponse SliceServer::handleStats(const ServiceRequest &Req) {
   // holding the entry lock across size() would invert that order.
   const std::size_t WarmSessions = Registry.size();
 
-  // statsString() memoizes into the session (mutable members), so
-  // stats is a writer despite being read-only in spirit.
-  std::unique_lock<std::shared_mutex> L(E->Mu);
+  std::shared_lock<std::shared_mutex> L(E->Mu);
   std::string Body = E->S ? E->S->statsString() : "";
   Body += "server: " +
           std::to_string(Stats.Requests.load(std::memory_order_relaxed)) +

@@ -14,11 +14,12 @@
 ///
 /// Execution model:
 ///
-///  - One connection-reader thread per client reads frames and writes
-///    responses in order; request *execution* is fanned out on the
-///    shared work-stealing ThreadPool, so slices from N clients on one
-///    warm session genuinely run in parallel (shared lock on the
-///    session entry) while edits wait for exclusivity.
+///  - One connection thread per client reads frames, executes each
+///    admitted request itself and writes responses in order. At most
+///    ServerOptions::Threads requests execute at once (a counting
+///    semaphore), so slices from N clients on one warm session run in
+///    parallel (shared lock on the session entry) while edits wait for
+///    exclusivity.
 ///  - Admission control, not queueing: the server tracks in-flight
 ///    requests and answers RETRY the moment the bound is exceeded —
 ///    overload degrades into client backoff, never into unbounded
@@ -40,13 +41,13 @@
 
 #include "service/Protocol.h"
 #include "service/Registry.h"
-#include "support/ThreadPool.h"
 
 #include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <semaphore>
 #include <string>
 #include <thread>
 
@@ -55,12 +56,9 @@ namespace tsl {
 struct ServerOptions {
   std::string SocketPath;
 
-  /// Request-execution concurrency of the shared pool (0 = hardware).
+  /// Requests executing at once (0 = hardware concurrency); further
+  /// admitted requests wait for a slot on their connection thread.
   unsigned Threads = 0;
-
-  /// Analysis concurrency inside each warm session (passed to
-  /// AnalysisSession::setThreads; 1 keeps sessions pool-free).
-  unsigned AnalysisThreads = 1;
 
   /// In-flight request bound: the (N+1)-th concurrent request is
   /// answered RETRY instead of queued.
@@ -134,7 +132,8 @@ private:
   void reapFinishedConnections();
 
   ServerOptions O;
-  ThreadPool Pool;
+  /// Execution slots: a request runs only while it holds one.
+  std::counting_semaphore<> ExecSlots;
   SessionRegistry Registry;
   ServerStats Stats;
 

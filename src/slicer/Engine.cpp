@@ -4,7 +4,6 @@
 
 #include "slicer/Condense.h"
 #include "support/BitSet.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <optional>
@@ -181,9 +180,8 @@ SliceResult tsl::reachNodes(const SDG &G,
 // SliceEngine
 //===----------------------------------------------------------------------===//
 
-SliceEngine::SliceEngine(const SDG &G,
-                         std::function<ThreadPool *()> SharedPool)
-    : G(G), SharedPool(std::move(SharedPool)) {
+SliceEngine::SliceEngine(const SDG &G, ThreadPool *Pool)
+    : G(G), Pool(Pool ? Pool : &OwnPool) {
   G.ensureFinalized();
 }
 
@@ -357,27 +355,13 @@ std::vector<SliceResult> SliceEngine::run(const SliceQuery &Q,
     }
   };
 
-  if (Workers <= 1) {
-    // Single-worker runs are inline: no pool is consulted or created,
-    // no thread is spawned, no task is queued.
-    for (unsigned I = 0; I != NumItems; ++I)
-      RunItem(I);
-  } else {
-    ThreadPool *TP = SharedPool ? SharedPool() : nullptr;
-    if (!TP) {
-      if (!OwnedPool || OwnedPool->concurrency() < Workers)
-        OwnedPool = std::make_unique<ThreadPool>(Workers);
-      TP = OwnedPool.get();
-    }
-    if (TP->concurrency() < Workers)
-      Stats.Workers = Workers = TP->concurrency();
-    // The gate is deliberately not handed to parallelFor: every item
-    // must produce a SliceResult (degraded once the gate trips), so
-    // cancellation happens inside RunItem, never by skipping items.
-    TP->parallelFor(
-        NumItems,
-        [&](std::size_t I) { RunItem(static_cast<unsigned>(I)); }, Workers);
-  }
+  // A single-worker run is the pool's inline loop: no worker starts.
+  // The gate is deliberately not handed to parallelFor: every item
+  // must produce a SliceResult (degraded once the gate trips), so
+  // cancellation happens inside RunItem, never by skipping items.
+  Pool->parallelFor(
+      NumItems, [&](std::size_t I) { RunItem(static_cast<unsigned>(I)); },
+      Workers);
 
   for (std::optional<SliceResult> &R : UniqueResults) {
     if (!R) {

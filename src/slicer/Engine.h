@@ -29,11 +29,10 @@
 /// traversals (one seed, each expansion seed, a chop's sink) run
 /// inline, each against its own BudgetGate.
 ///
-/// Work fans out on a shared ThreadPool (see support/ThreadPool.h):
-/// the owner's (the session creates its pool on first use) or a lazily
-/// created engine-owned pool. A single-worker run never touches a pool
-/// at all — it runs inline on the calling thread, and no pool is
-/// created for it.
+/// Work items fan out on one ThreadPool (see support/ThreadPool.h):
+/// the owner's (the session passes its own) or an engine-owned one.
+/// A single-worker run stays inline on the calling thread and starts
+/// no worker.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,8 +41,8 @@
 
 #include "slicer/Slicer.h"
 #include "slicer/Tabulation.h"
+#include "support/ThreadPool.h"
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -51,13 +50,11 @@
 
 namespace tsl {
 
-class ThreadPool;
-
 /// How a query runs (SliceQuery says what it asks).
 struct QueryOptions {
-  /// Worker threads; 0 means std::thread::hardware_concurrency().
-  /// Clamped to the number of work items; 1 runs inline without
-  /// spawning.
+  /// Lanes, the calling thread included; 0 means
+  /// std::thread::hardware_concurrency(). Clamped to the number of
+  /// work items; 1 runs inline and starts no worker.
   unsigned Jobs = 0;
   /// Optional run-wide budget (MaxSlicePops caps the *total* pops
   /// across all seeds of the run; see SharedBudgetGate).
@@ -79,7 +76,7 @@ struct BatchOptions : QueryOptions {
 struct BatchStats {
   unsigned Queries = 0;       ///< Seeds requested.
   unsigned UniqueQueries = 0; ///< Distinct seed node sets actually run.
-  unsigned Workers = 0;       ///< Worker threads used (1 = inline).
+  unsigned Workers = 0;       ///< Lanes asked of the pool (1 = inline).
   bool SummariesReused = false; ///< CS summary set came from the cache.
   bool CondensationReused = false; ///< CI condensation came from the cache.
 };
@@ -93,19 +90,13 @@ struct SccCondensation;
 /// most recent run; the condensation cache carries over).
 class SliceEngine {
 public:
-  /// \p SharedPool, when set, is asked for the pool (not owned; it must
-  /// outlive the engine) whenever a run needs workers. Without one, or
-  /// when it returns null, the engine lazily creates its own.
-  explicit SliceEngine(const SDG &G,
-                       std::function<ThreadPool *()> SharedPool = {});
+  /// Runs fan out on \p Pool (not owned; it must outlive the engine),
+  /// or on an engine-owned pool when it is null.
+  explicit SliceEngine(const SDG &G, ThreadPool *Pool = nullptr);
   ~SliceEngine();
 
-  /// The pool batches fan out on: the shared one, else the owned one,
-  /// or null when no multi-worker batch has run yet (the single-worker
-  /// path never creates one — see tests/parallel_test.cpp).
-  const ThreadPool *pool() const {
-    return SharedPool ? SharedPool() : OwnedPool.get();
-  }
+  /// The pool runs fan out on.
+  const ThreadPool &pool() const { return *Pool; }
 
   /// Answers \p Q: one SliceResult per seed, in seed order. Never
   /// throws: a query that cannot be answered (see
@@ -127,8 +118,8 @@ private:
   std::shared_ptr<const SccCondensation> condensationFor(EdgeKindMask Mask);
 
   const SDG &G;
-  std::function<ThreadPool *()> SharedPool;
-  std::unique_ptr<ThreadPool> OwnedPool;
+  ThreadPool OwnPool;
+  ThreadPool *Pool;
   BatchStats Stats;
   std::mutex CondMu;
   std::map<std::pair<uint64_t, EdgeKindMask>,

@@ -90,7 +90,10 @@ std::string SliceResult::str() const {
     if (!N.isSourceStmt())
       return;
     Out += N.M->qualifiedName(P.strings());
-    Out += ":" + std::to_string(N.I->loc().Line) + ": " + N.I->str(P);
+    Out += ':';
+    Out += std::to_string(N.I->loc().Line);
+    Out += ": ";
+    Out += N.I->str(P);
     if (N.K == SDGNodeKind::ScalarActualIn)
       Out += "  [actual #" + std::to_string(N.Part) + "]";
     Out += "\n";

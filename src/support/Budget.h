@@ -17,9 +17,9 @@
 /// On top of the cooperative polling sits *preemptive* cancellation:
 /// AnalysisBudget carries an atomic cancel flag a Watchdog (see
 /// support/Watchdog.h) sets when the wall-clock deadline passes. Every
-/// gate poll and every ThreadPool task boundary observes the flag, so
+/// gate poll and every ThreadPool index boundary observes the flag, so
 /// a stage that miscounts its steps — or stalls without reading the
-/// clock — is still stopped at its next poll or task edge and degrades
+/// clock — is still stopped at its next poll or index edge and degrades
 /// through the same sound-fallback path, tagged "watchdog".
 ///
 /// A deterministic FaultInjector rides along: named fault points

@@ -1,144 +1,88 @@
-//===-- ThreadPool.cpp - Shared work-stealing thread pool ----------------------==//
+//===-- ThreadPool.cpp - Slice-batch parallel-for pool -------------------===//
 
 #include "support/ThreadPool.h"
 
 #include "support/Budget.h"
 
-#include <cassert>
-#include <chrono>
+#include <exception>
+#include <system_error>
 
 using namespace tsl;
 
-namespace {
+/// One pooled parallelFor() call, shared by its lanes. Lives on the
+/// caller's stack; the caller waits for every worker lane that joined
+/// before it returns.
+struct ThreadPool::Batch {
+  Batch(std::size_t N, const std::function<void(std::size_t)> &Fn,
+        SharedBudgetGate *Gate)
+      : N(N), Fn(Fn), Gate(Gate) {}
 
-/// Identity of the pool worker running on this thread, so submit()
-/// can route a worker's child tasks to its own deque (the Chase-Lev
-/// bottom) instead of the shared injection queue.
-thread_local ThreadPool *CurrentPool = nullptr;
-thread_local unsigned CurrentWorkerId = ~0u;
-
-} // namespace
-
-ThreadPool::ThreadPool(unsigned Threads) {
-  if (Threads == 0)
-    Threads = std::thread::hardware_concurrency();
-  if (Threads == 0)
-    Threads = 1;
-  NumWorkers = Threads - 1;
-  Workers.reserve(NumWorkers);
-  for (unsigned Id = 0; Id != NumWorkers; ++Id)
-    Workers.push_back(std::make_unique<Worker>());
-  // Start only after every Worker slot exists: a starting worker's
-  // steal sweep walks the whole vector.
-  for (unsigned Id = 0; Id != NumWorkers; ++Id)
-    Workers[Id]->Thread = std::thread([this, Id] { workerLoop(Id); });
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> L(InjectMu);
-    Stopping = true;
-  }
-  WorkCV.notify_all();
-  for (auto &W : Workers)
-    W->Thread.join();
-  // Workers drained their deques and the injection queue before
-  // exiting; anything left could only have been submitted after
-  // Stopping was set, which the contract forbids.
-  assert(Pending.load() == 0 && "tasks submitted during shutdown");
-}
-
-void ThreadPool::schedule(std::function<void()> Task) {
-  if (NumWorkers == 0) {
-    // No workers: run inline so futures still complete.
-    TasksExecuted.fetch_add(1, std::memory_order_relaxed);
-    Task();
-    return;
-  }
-  if (CurrentPool == this && CurrentWorkerId < NumWorkers) {
-    Worker &W = *Workers[CurrentWorkerId];
-    {
-      std::lock_guard<std::mutex> L(W.Mu);
-      W.Deque.push_back(std::move(Task));
-    }
-    Pending.fetch_add(1, std::memory_order_release);
-    WorkCV.notify_one();
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> L(InjectMu);
-    Inject.push_back(std::move(Task));
-  }
-  Pending.fetch_add(1, std::memory_order_release);
-  WorkCV.notify_one();
-}
-
-bool ThreadPool::runOne(unsigned SelfId) {
-  std::function<void()> Task;
-
-  // 1. Own deque, bottom (LIFO: the task pushed most recently is the
-  //    cache-warm one).
-  if (SelfId < NumWorkers) {
-    Worker &W = *Workers[SelfId];
-    std::lock_guard<std::mutex> L(W.Mu);
-    if (!W.Deque.empty()) {
-      Task = std::move(W.Deque.back());
-      W.Deque.pop_back();
-    }
-  }
-  // 2. The shared injection queue.
-  if (!Task) {
-    std::lock_guard<std::mutex> L(InjectMu);
-    if (!Inject.empty()) {
-      Task = std::move(Inject.front());
-      Inject.pop_front();
-    }
-  }
-  // 3. Steal sweep: the top (oldest) task of another worker's deque.
-  if (!Task) {
-    for (unsigned K = 1; K <= NumWorkers && !Task; ++K) {
-      unsigned Victim = (SelfId < NumWorkers ? SelfId + K : K - 1) % NumWorkers;
-      if (Victim == SelfId)
-        continue;
-      Worker &W = *Workers[Victim];
-      std::lock_guard<std::mutex> L(W.Mu);
-      if (!W.Deque.empty()) {
-        Task = std::move(W.Deque.front());
-        W.Deque.pop_front();
-        TasksStolen.fetch_add(1, std::memory_order_relaxed);
+  /// Takes indices until the cursor runs out, the gate stops the
+  /// batch, or some lane threw.
+  void runLane() {
+    for (std::size_t I;
+         (I = Next.fetch_add(1, std::memory_order_relaxed)) < N;) {
+      if (Abort.load(std::memory_order_relaxed))
+        return;
+      // Index-boundary stop check: also observes the watchdog's
+      // preemptive cancel flag, so a batch whose items never poll is
+      // still cut off between indices.
+      if (Gate && Gate->stop())
+        return;
+      try {
+        Fn(I);
+      } catch (...) {
+        {
+          std::lock_guard<std::mutex> L(ErrMu);
+          if (!Err)
+            Err = std::current_exception();
+        }
+        Abort.store(true, std::memory_order_relaxed);
+        // The exception cancels the remaining indices through the
+        // shared gate too, so any stage polling it stops at its next
+        // check instead of burning work for a discarded result.
+        if (Gate)
+          Gate->cancel("exception");
+        return;
       }
     }
   }
-  if (!Task)
-    return false;
 
-  Pending.fetch_sub(1, std::memory_order_acq_rel);
-  Task(); // packaged_task: exceptions land in the future, never here.
-  TasksExecuted.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  const std::size_t N;
+  const std::function<void(std::size_t)> &Fn;
+  SharedBudgetGate *const Gate;
+  std::atomic<std::size_t> Next{0};
+  std::atomic<bool> Abort{false};
+  std::mutex ErrMu;
+  std::exception_ptr Err;
+};
+
+ThreadPool::~ThreadPool() {
+  {
+    std::lock_guard<std::mutex> L(Mu);
+    Stopping = true;
+  }
+  WorkCV.notify_all();
+  for (std::thread &T : Workers)
+    T.join();
 }
 
-void ThreadPool::workerLoop(unsigned Id) {
-  CurrentPool = this;
-  CurrentWorkerId = Id;
-  while (true) {
-    if (runOne(Id))
-      continue;
-    std::unique_lock<std::mutex> L(InjectMu);
+void ThreadPool::workerLoop() {
+  std::unique_lock<std::mutex> L(Mu);
+  for (;;) {
+    WorkCV.wait(L, [this] { return Stopping || OpenLanes != 0; });
     if (Stopping)
-      break;
-    WorkCV.wait(L, [this] {
-      return Stopping || Pending.load(std::memory_order_acquire) != 0;
-    });
-    if (Stopping)
-      break;
+      return;
+    --OpenLanes;
+    ++RunningLanes;
+    Batch *B = Current;
+    L.unlock();
+    B->runLane();
+    TasksExecuted.fetch_add(1, std::memory_order_relaxed);
+    L.lock();
+    if (--RunningLanes == 0)
+      DoneCV.notify_one();
   }
-  // Shutdown drain: finish everything still queued anywhere, so
-  // futures handed out before the destructor always complete.
-  while (runOne(Id))
-    ;
-  CurrentPool = nullptr;
-  CurrentWorkerId = ~0u;
 }
 
 void ThreadPool::parallelFor(std::size_t N,
@@ -147,15 +91,14 @@ void ThreadPool::parallelFor(std::size_t N,
                              SharedBudgetGate *Gate) {
   if (N == 0)
     return;
-  unsigned Lanes = concurrency();
-  if (MaxConcurrency && MaxConcurrency < Lanes)
-    Lanes = MaxConcurrency;
+  std::size_t Lanes =
+      MaxConcurrency ? MaxConcurrency : std::thread::hardware_concurrency();
   if (N < Lanes)
-    Lanes = static_cast<unsigned>(N);
+    Lanes = N;
 
-  if (Lanes <= 1 || NumWorkers == 0) {
-    // Sequential path: a plain loop on the caller, no tasks, no
-    // synchronization — byte-for-byte the pre-pool behavior.
+  if (Lanes <= 1 || Busy.exchange(true)) {
+    // Inline: a plain loop on the caller, no worker, no
+    // synchronization.
     for (std::size_t I = 0; I != N; ++I) {
       if (Gate && Gate->stop())
         return;
@@ -164,62 +107,32 @@ void ThreadPool::parallelFor(std::size_t N,
     return;
   }
 
-  struct LoopState {
-    std::atomic<std::size_t> Next{0};
-    std::atomic<bool> Abort{false};
-    std::mutex ErrMu;
-    std::exception_ptr Err;
-  } State;
-
-  auto Lane = [&] {
-    for (std::size_t I;
-         (I = State.Next.fetch_add(1, std::memory_order_relaxed)) < N;) {
-      if (State.Abort.load(std::memory_order_relaxed))
-        return;
-      // Task-boundary stop check: also observes the watchdog's
-      // preemptive cancel flag, so a batch whose tasks never poll is
-      // still cut off between indices.
-      if (Gate && Gate->stop())
-        return;
-      try {
-        Fn(I);
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> L(State.ErrMu);
-          if (!State.Err)
-            State.Err = std::current_exception();
-          State.Abort.store(true, std::memory_order_relaxed);
-        }
-        // Crash isolation: the exception cancels the remaining
-        // indices through the shared gate, so sibling lanes (and any
-        // stage polling the same gate) stop at their next check
-        // instead of burning work for a result that will be
-        // discarded. Captured per-task; rethrown once on the caller.
-        if (Gate)
-          Gate->cancel("exception");
-        return;
-      }
+  Batch B(N, Fn, Gate);
+  {
+    std::lock_guard<std::mutex> L(Mu);
+    try {
+      while (Workers.size() + 1 < Lanes)
+        Workers.emplace_back([this] { workerLoop(); });
+    } catch (const std::system_error &) {
+      // Out of threads: the workers that exist take the open lanes.
     }
-  };
-
-  std::vector<std::future<void>> Futures;
-  Futures.reserve(Lanes - 1);
-  for (unsigned W = 0; W + 1 < Lanes; ++W)
-    Futures.push_back(submit(Lane));
-  Lane(); // The caller is the last lane.
-
-  // Helping wait: while a lane task is still queued (every worker
-  // busy elsewhere, e.g. a nested parallelFor), the caller executes
-  // queued tasks instead of blocking, so waiting can never deadlock.
-  for (std::future<void> &F : Futures) {
-    while (F.wait_for(std::chrono::seconds(0)) !=
-           std::future_status::ready) {
-      if (!runOne(CurrentPool == this ? CurrentWorkerId : ~0u))
-        F.wait_for(std::chrono::microseconds(200));
-    }
-    F.get(); // Lane() traps exceptions itself; this never throws.
+    NumWorkers.store(static_cast<unsigned>(Workers.size()));
+    Current = &B;
+    OpenLanes = static_cast<unsigned>(Lanes - 1);
   }
+  WorkCV.notify_all();
+  B.runLane(); // The caller is one lane.
+  TasksExecuted.fetch_add(1, std::memory_order_relaxed);
+  {
+    std::unique_lock<std::mutex> L(Mu);
+    // The caller's lane ends only once the batch hands out no more
+    // indices, so lanes no worker took yet have nothing to do.
+    OpenLanes = 0;
+    DoneCV.wait(L, [this] { return RunningLanes == 0; });
+    Current = nullptr;
+  }
+  Busy.store(false);
 
-  if (State.Err)
-    std::rethrow_exception(State.Err);
+  if (B.Err)
+    std::rethrow_exception(B.Err);
 }

@@ -1,17 +1,21 @@
-//===-- ThreadPool.h - Shared work-stealing thread pool ---------*- C++ -*-==//
+//===-- ThreadPool.h - Slice-batch parallel-for pool ------------*- C++ -*-==//
 //
 // Part of ThinSlicer, a reproduction of "Thin Slicing" (PLDI 2007).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One work-stealing thread pool for the work that is independent:
-/// the batched slice engine's work items and the daemon's requests.
-/// The analysis stages themselves run sequentially. The pool follows the Chase-Lev deque discipline: each
-/// worker owns a deque it pushes and pops at the bottom (LIFO, cache
-/// warm), while idle workers steal from the top (FIFO, oldest — and
-/// typically largest — subtask first). Tasks submitted from outside
-/// the pool land in a shared injection queue.
+/// The pool behind the slice engine's batches, the only parallel work
+/// left (the analysis stages run sequentially). It offers one
+/// operation, parallelFor(): lanes take indices from one atomic
+/// cursor, so imbalanced items self-balance. Workers are persistent:
+/// they start the first time a call asks for more lanes than the pool
+/// has, never per batch, and never go away before the pool does.
+///
+/// One batch runs at a time. A call that finds the pool busy — a
+/// concurrent caller, or a nested call from inside an index — runs its
+/// loop inline on its own thread, so there is no queue, no helping
+/// wait and no way to deadlock.
 ///
 /// Determinism contract: the pool itself makes no ordering promises —
 /// slice batches stay byte-identical across thread counts because
@@ -20,7 +24,7 @@
 ///
 /// Budget governance is cooperative: parallelFor() takes an optional
 /// SharedBudgetGate and stops handing out new indices once the gate
-/// trips, so a deadline or step cap cancels the remaining queue
+/// trips, so a deadline or step cap cancels the remaining indices
 /// without interrupting an index mid-flight.
 ///
 //===----------------------------------------------------------------------===//
@@ -31,115 +35,75 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace tsl {
 
 class SharedBudgetGate;
 
-/// Work-stealing pool of `Threads - 1` worker threads; the thread
-/// calling parallelFor() participates as the extra lane, so Threads
-/// names the total concurrency. Threads == 1 spawns nothing and every
-/// operation runs inline on the caller — the single-threaded path is
-/// the plain sequential loop, with no pool machinery on it.
+/// A parallel-for pool. The thread calling parallelFor() is always one
+/// of the lanes; a pool that has only run inline has no workers.
 class ThreadPool {
 public:
-  /// \p Threads = total concurrency including the calling thread;
-  /// 0 means std::thread::hardware_concurrency().
-  explicit ThreadPool(unsigned Threads = 0);
+  ThreadPool() = default;
 
-  /// Drains every queued task, then joins the workers: a future
-  /// obtained from submit() before destruction is always satisfied.
+  /// Joins the workers. Must not run concurrently with parallelFor().
   ~ThreadPool();
 
   ThreadPool(const ThreadPool &) = delete;
   ThreadPool &operator=(const ThreadPool &) = delete;
 
-  /// Total concurrency (workers + the participating caller).
-  unsigned concurrency() const { return NumWorkers + 1; }
-  /// Threads actually spawned (0 for a Threads == 1 pool).
-  unsigned numWorkers() const { return NumWorkers; }
-
-  /// Submits one task. The future rethrows anything the task threw.
-  /// Called from a worker of this pool, the task goes to that
-  /// worker's own deque (stealable by the others); from any other
-  /// thread it goes to the shared injection queue. With no workers
-  /// the task runs inline, here, before submit returns.
-  template <typename F>
-  auto submit(F &&Fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto Task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(Fn));
-    std::future<R> Fut = Task->get_future();
-    schedule([Task] { (*Task)(); });
-    return Fut;
-  }
+  /// Worker threads started so far (0 until a call needed one).
+  unsigned numWorkers() const { return NumWorkers.load(); }
 
   /// Runs Fn(0) .. Fn(N-1), each exactly once unless cancelled,
-  /// blocking until every started index finished. Indices are handed
-  /// out dynamically (an atomic cursor), so imbalanced work
-  /// self-balances. Runs inline on the caller — no task, no thread —
-  /// when the pool has no workers, N <= 1, or MaxConcurrency <= 1.
+  /// blocking until every started index finished. Runs inline on the
+  /// caller — no worker involved — when N <= 1, when one lane is
+  /// asked for, or when the pool is already running a batch.
   ///
-  /// \p MaxConcurrency caps the lanes used (0 = concurrency()).
-  /// \p Gate, when non-null, is checked between indices: once it is
-  /// exhausted — or the budget it wraps was preemptively cancelled by
-  /// the watchdog — no further index starts (indices already running
-  /// finish). The first exception thrown by Fn is captured per-task,
-  /// cancels the remaining indices through \p Gate (reason
-  /// "exception"), and is rethrown here on the caller; the pool's
-  /// workers survive and the pool stays usable.
+  /// \p MaxConcurrency caps the lanes used, the caller included
+  /// (0 = std::thread::hardware_concurrency()); the pool starts
+  /// workers up to that cap. \p Gate, when non-null, is checked
+  /// between indices: once it is exhausted — or the budget it wraps
+  /// was preemptively cancelled by the watchdog — no further index
+  /// starts (indices already running finish). The first exception
+  /// thrown by Fn cancels the remaining indices (through \p Gate too,
+  /// reason "exception") and is rethrown here on the caller; the pool
+  /// stays usable.
   void parallelFor(std::size_t N, const std::function<void(std::size_t)> &Fn,
                    unsigned MaxConcurrency = 0,
                    SharedBudgetGate *Gate = nullptr);
 
-  /// Tasks executed to completion (parallelFor lanes count as one
-  /// task per lane).
+  /// Lanes run by pooled batches (one per lane, the caller's included;
+  /// inline loops count none).
   uint64_t tasksExecuted() const {
     return TasksExecuted.load(std::memory_order_relaxed);
   }
-  /// Tasks taken from another worker's deque.
-  uint64_t tasksStolen() const {
-    return TasksStolen.load(std::memory_order_relaxed);
-  }
 
 private:
-  struct Worker {
-    std::mutex Mu;
-    std::deque<std::function<void()>> Deque;
-    std::thread Thread;
-  };
+  struct Batch;
 
-  void schedule(std::function<void()> Task);
-  void workerLoop(unsigned Id);
+  void workerLoop();
 
-  /// Dequeues and runs one task — own deque bottom, then the
-  /// injection queue, then a steal sweep — and returns true; false
-  /// when every queue was empty. \p SelfId is ~0u for non-worker
-  /// threads (helpers waiting in parallelFor).
-  bool runOne(unsigned SelfId);
+  /// Set while a pooled batch runs; a call that finds it set runs
+  /// inline.
+  std::atomic<bool> Busy{false};
 
-  unsigned NumWorkers = 0;
-  std::vector<std::unique_ptr<Worker>> Workers;
-
-  std::mutex InjectMu; ///< Guards Inject and the sleep protocol.
-  std::condition_variable WorkCV;
-  std::deque<std::function<void()>> Inject;
-  /// Tasks sitting in any queue (injection + every deque). The CV
-  /// predicate, so a worker never sleeps through a push to a deque it
-  /// could steal from.
-  std::atomic<std::size_t> Pending{0};
-  bool Stopping = false; ///< Guarded by InjectMu.
-
+  std::atomic<unsigned> NumWorkers{0};
   std::atomic<uint64_t> TasksExecuted{0};
-  std::atomic<uint64_t> TasksStolen{0};
+
+  std::mutex Mu; ///< Guards everything below.
+  std::condition_variable WorkCV; ///< Lanes opened, or Stopping.
+  std::condition_variable DoneCV; ///< The last running worker lane ended.
+  Batch *Current = nullptr;
+  unsigned OpenLanes = 0;    ///< Lanes of Current no worker took yet.
+  unsigned RunningLanes = 0; ///< Worker lanes of Current still running.
+  bool Stopping = false;
+  /// Declared last: the workers use every member above.
+  std::vector<std::thread> Workers;
 };
 
 } // namespace tsl

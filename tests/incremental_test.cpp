@@ -348,8 +348,12 @@ std::vector<std::string> edgeSignature(const SDG &G) {
     std::string S = std::to_string(static_cast<int>(N.K)) + "/";
     if (N.M)
       S += N.M->qualifiedName(P.strings());
-    if (N.I)
-      S += ":" + std::to_string(N.I->loc().Line) + ":" + N.I->str(P);
+    if (N.I) {
+      S += ':';
+      S += std::to_string(N.I->loc().Line);
+      S += ':';
+      S += N.I->str(P);
+    }
     return S + "/" + std::to_string(N.Part);
   };
   std::vector<std::string> Out;

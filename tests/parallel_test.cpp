@@ -171,9 +171,8 @@ TEST(ParallelDeterminism, DebuggingTableBytesAreThreadCountInvariant) {
   setEvalThreads(1);
 }
 
-// A one-item batch must never touch a pool: no pool is created, no
-// thread spawned, whatever Jobs says (the engine clamps workers to
-// the item count and runs inline).
+// A one-item batch must never start a worker, whatever Jobs says (the
+// engine clamps lanes to the item count and runs inline).
 TEST(ParallelEngine, SingleItemBatchSpawnsNoPool) {
   DiagnosticEngine Diag;
   const std::string Source = generateRandomProgram(3);
@@ -186,15 +185,14 @@ TEST(ParallelEngine, SingleItemBatchSpawnsNoPool) {
   ASSERT_FALSE(Seeds.empty());
 
   SliceEngine E(*G);
-  ASSERT_EQ(E.pool(), nullptr);
   BatchOptions BO;
-  BO.Jobs = 8; // Eight requested; one item -> inline, still no pool.
+  BO.Jobs = 8; // Eight requested; one item -> inline, still no worker.
   E.sliceBackwardBatch({Seeds.front()}, BO);
-  EXPECT_EQ(E.pool(), nullptr);
+  EXPECT_EQ(E.pool().numWorkers(), 0u);
   EXPECT_EQ(E.stats().Workers, 1u);
 
   // The control making the assertion above meaningful: a batch with
-  // more than one work item at Jobs > 1 does create a pool. CI mode
+  // more than one work item at Jobs > 1 does start a worker. CI mode
   // chunks 64 queries per item, so use the context-sensitive engine,
   // where every unique seed is its own item.
   if (Seeds.size() > 1) {
@@ -207,20 +205,38 @@ TEST(ParallelEngine, SingleItemBatchSpawnsNoPool) {
     BO.Jobs = 2;
     CSE.sliceBackwardBatch(Seeds, BO);
     ASSERT_GT(CSE.stats().UniqueQueries, 1u);
-    EXPECT_NE(CSE.pool(), nullptr);
+    EXPECT_EQ(CSE.pool().numWorkers(), 1u);
   }
 }
 
-// An injected shared pool is adopted, not wrapped: the engine must
-// use exactly the session pool instance.
+// The session engine runs on the session's pool, not one of its own:
+// a multi-item query shows up in the session's pool telemetry.
 TEST(ParallelEngine, AdoptsTheInjectedSessionPool) {
   const std::string Source = generateRandomProgram(7);
   AnalysisSession S(Source);
   S.setThreads(4);
-  ASSERT_NE(S.program(), nullptr);
+  SDGOptions SO;
+  SO.ContextSensitive = true;
+  S.setSDGOptions(SO);
+  Program *P = S.program();
+  ASSERT_NE(P, nullptr);
+  std::vector<const Instr *> Seeds = printSeeds(*P);
+  ASSERT_GT(Seeds.size(), 1u);
+  EXPECT_NE(S.statsString().find("pool_workers=0 tasks=0"), std::string::npos);
+
+  SliceQuery Q;
+  Q.Seeds = Seeds;
+  ASSERT_NE(S.query(Q), nullptr);
   SliceEngine *E = S.engine();
   ASSERT_NE(E, nullptr);
-  EXPECT_EQ(E->pool(), S.pool());
+  ASSERT_GT(E->stats().UniqueQueries, 1u);
+  EXPECT_GT(E->pool().numWorkers(), 0u);
+  const std::string Stats = S.statsString();
+  EXPECT_NE(Stats.find("pool_workers=" +
+                       std::to_string(E->pool().numWorkers()) + " tasks="),
+            std::string::npos)
+      << Stats;
+  EXPECT_EQ(Stats.find("tasks=0\n"), std::string::npos) << Stats;
 }
 
 } // namespace

@@ -136,9 +136,9 @@ TEST(Report, NarrationCoversTheThinSliceLines) {
     Narrated.insert(Step.Node);
   EXPECT_TRUE(Narrated == Slice.nodeSet());
   // The buggy line is narrated.
-  EXPECT_NE(Story.str().find(
-                ":" + std::to_string(W.markerLine("bug"))),
-            std::string::npos);
+  std::string BugLine = ":";
+  BugLine += std::to_string(W.markerLine("bug"));
+  EXPECT_NE(Story.str().find(BugLine), std::string::npos);
 }
 
 // A budget-degraded slice is narrated as computed: every narrated node

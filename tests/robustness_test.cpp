@@ -378,8 +378,9 @@ TEST(PipelineExhaustion, DegradedSliceIsSubsetOfTraditional) {
       Extra.subtract(FullTrad.nodeSet());
       EXPECT_EQ(Extra.count(), 0u)
           << Case.Id << ": budgeted slice escaped the traditional slice";
-      if (!Budgeted.complete())
+      if (!Budgeted.complete()) {
         EXPECT_FALSE(Budgeted.degradedReason().empty());
+      }
     }
   }
 }
@@ -449,8 +450,9 @@ TEST(PipelineExhaustion, CoarsePtaFallbackOverApproximates) {
         Refs.push_back(L.get());
   for (const Local *A : Refs)
     for (const Local *B : Refs)
-      if (Precise->mayAlias(A, B))
+      if (Precise->mayAlias(A, B)) {
         EXPECT_TRUE(Coarse->mayAlias(A, B));
+      }
 
   // The CHA call graph covers at least the precisely reachable
   // methods.
@@ -626,8 +628,9 @@ TEST(PipelineExhaustion, EveryFaultPointFiresWithSoundDegradation) {
       AnalysisSession S{std::string(kIncFaultWarmSrc)};
       S.setIncremental(true);
       ASSERT_TRUE(S.program());
-      if (Point == "modref.update")
+      if (Point == "modref.update") {
         ASSERT_TRUE(S.modRef()); // put the artifact on the update path
+      }
       const Instr *WarmSeed = instrAtLine(*S.program(), kIncFaultSeedLine);
       ASSERT_TRUE(WarmSeed);
       ASSERT_TRUE(S.sliceBackwardCached(WarmSeed, SliceMode::Thin));
@@ -754,8 +757,9 @@ TEST(PipelineExhaustion, BudgetedChopIsSubset) {
   BitSet Extra = Budgeted.nodeSet();
   Extra.subtract(Full.nodeSet());
   EXPECT_EQ(Extra.count(), 0u);
-  if (!Budgeted.complete())
+  if (!Budgeted.complete()) {
     EXPECT_FALSE(Budgeted.degradedReason().empty());
+  }
 }
 
 // The aliasing and index explainers honor the budget they were

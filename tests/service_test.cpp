@@ -286,45 +286,54 @@ TEST_F(ServiceTest, UnknownSessionAndMissingSeedAreBadRequests) {
 // Concurrency: many clients, one warm session
 //===----------------------------------------------------------------------===//
 
+// Run once at the default execution bound and once with a single
+// execution slot: eight connection threads then take turns on the
+// semaphore, and every query must still complete correctly.
 TEST_F(ServiceTest, EightConcurrentClientsShareOneWarmSession) {
-  startServer();
-  ServiceClient Loader;
-  connect(Loader);
-  std::string Id = loadDefault(Loader);
+  for (unsigned Threads : {0u, 1u}) {
+    SCOPED_TRACE("threads " + std::to_string(Threads));
+    ServerOptions O;
+    O.Threads = Threads;
+    startServer(std::move(O));
+    ServiceClient Loader;
+    connect(Loader);
+    std::string Id = loadDefault(Loader);
 
-  const unsigned Lines[] = {4, 6, 13};
-  std::string Expected[3];
-  for (int I = 0; I != 3; ++I)
-    Expected[I] =
-        expectedSlice(fullSource(kProgram), Lines[I], SliceMode::Thin, false);
+    const unsigned Lines[] = {4, 6, 13};
+    std::string Expected[3];
+    for (int I = 0; I != 3; ++I)
+      Expected[I] = expectedSlice(fullSource(kProgram), Lines[I],
+                                  SliceMode::Thin, false);
 
-  constexpr int NumClients = 8, QueriesEach = 6;
-  std::atomic<int> Mismatches{0}, Failures{0};
-  std::vector<std::thread> Clients;
-  for (int T = 0; T != NumClients; ++T) {
-    Clients.emplace_back([&, T] {
-      ServiceClient C;
-      if (!C.connect(Sock).isOk()) {
-        Failures.fetch_add(1);
-        return;
-      }
-      for (int Q = 0; Q != QueriesEach; ++Q) {
-        int Pick = (T + Q) % 3;
-        ServiceResponse Resp;
-        if (!C.slice(Id, Lines[Pick], SliceMode::Thin, Resp).isOk() ||
-            Resp.Code != ServiceStatus::Ok) {
+    constexpr int NumClients = 8, QueriesEach = 6;
+    std::atomic<int> Mismatches{0}, Failures{0};
+    std::vector<std::thread> Clients;
+    for (int T = 0; T != NumClients; ++T) {
+      Clients.emplace_back([&, T] {
+        ServiceClient C;
+        if (!C.connect(Sock).isOk()) {
           Failures.fetch_add(1);
           return;
         }
-        if (Resp.Body != Expected[Pick])
-          Mismatches.fetch_add(1);
-      }
-    });
+        for (int Q = 0; Q != QueriesEach; ++Q) {
+          int Pick = (T + Q) % 3;
+          ServiceResponse Resp;
+          if (!C.slice(Id, Lines[Pick], SliceMode::Thin, Resp).isOk() ||
+              Resp.Code != ServiceStatus::Ok) {
+            Failures.fetch_add(1);
+            return;
+          }
+          if (Resp.Body != Expected[Pick])
+            Mismatches.fetch_add(1);
+        }
+      });
+    }
+    for (std::thread &T : Clients)
+      T.join();
+    EXPECT_EQ(Failures.load(), 0);
+    EXPECT_EQ(Mismatches.load(), 0);
+    stopServer();
   }
-  for (std::thread &T : Clients)
-    T.join();
-  EXPECT_EQ(Failures.load(), 0);
-  EXPECT_EQ(Mismatches.load(), 0);
 }
 
 TEST_F(ServiceTest, OverloadAnswersRetryInsteadOfQueueing) {

@@ -499,8 +499,7 @@ TEST(Session, PersistentStageCrashFailsWithStatusAndCachesNothing) {
 
   // Downstream accessors propagate the failure instead of crashing.
   EXPECT_EQ(S.sdg(), nullptr);
-  Expected<SDG *> G = S.sdgChecked();
-  EXPECT_FALSE(G.ok());
+  EXPECT_FALSE(S.lastError().isOk());
 
   // Once the fault clears, the SAME session heals with no reset.
   FaultInjector::instance().reset();
@@ -571,29 +570,29 @@ TEST(Session, WatchdogRescuesAStalledStage) {
   EXPECT_LT(ElapsedMs, 5000) << "stall was not rescued by the watchdog";
 }
 
+// Every accessor that returns null explains it through lastError(),
+// and a success resets it to Ok.
 TEST(Session, CheckedAccessorsReportStructuredStatus) {
   InjectorGuard Guard;
   AnalysisSession S(Source);
   // Caller error: a null seed is InvalidArgument, not a crash.
-  Expected<const SliceResult *> Bad =
-      S.sliceBackwardChecked(nullptr, SliceMode::Thin);
-  EXPECT_FALSE(Bad.ok());
-  EXPECT_EQ(Bad.status().code(), StatusCode::InvalidArgument);
+  EXPECT_EQ(S.sliceBackwardCached(nullptr, SliceMode::Thin), nullptr);
+  EXPECT_EQ(S.lastError().code(), StatusCode::InvalidArgument);
 
-  Expected<Program *> P = S.programChecked();
-  ASSERT_TRUE(P.ok());
-  Expected<const SliceResult *> Good =
-      S.sliceBackwardChecked(anySeed(**P), SliceMode::Thin);
-  ASSERT_TRUE(Good.ok()) << Good.status().str();
-  EXPECT_TRUE((*Good)->complete());
+  Program *P = S.program();
+  ASSERT_NE(P, nullptr);
+  EXPECT_TRUE(S.lastError().isOk());
+  const SliceResult *Good = S.sliceBackwardCached(anySeed(*P), SliceMode::Thin);
+  ASSERT_NE(Good, nullptr) << S.lastError().str();
+  EXPECT_TRUE(S.lastError().isOk());
+  EXPECT_TRUE(Good->complete());
 
   // A compile failure surfaces as a ParseError/SemaError Status.
   S.setSource("def main() { var x = }");
-  Expected<Program *> BadP = S.programChecked();
-  EXPECT_FALSE(BadP.ok());
-  EXPECT_TRUE(BadP.status().code() == StatusCode::ParseError ||
-              BadP.status().code() == StatusCode::SemaError);
-  EXPECT_FALSE(BadP.status().message().empty());
+  EXPECT_EQ(S.program(), nullptr);
+  EXPECT_TRUE(S.lastError().code() == StatusCode::ParseError ||
+              S.lastError().code() == StatusCode::SemaError);
+  EXPECT_FALSE(S.lastError().message().empty());
 }
 
 TEST(Session, StatsStringReportsFailureIsolationTelemetry) {

@@ -1,9 +1,10 @@
-//===-- threadpool_test.cpp - Shared work-stealing pool tests ------------------==//
+//===-- threadpool_test.cpp - Slice-batch pool tests ----------------------===//
 //
-// The pool contract every parallel analysis stage leans on: tasks run
-// exactly once, imbalance is rebalanced by stealing, exceptions reach
-// the submitter, shutdown drains the queues, and a tripped budget gate
-// cancels the un-started remainder of a parallelFor.
+// The pool contract the slice engine leans on: every index runs
+// exactly once at any lane count, workers start only when a call needs
+// them, a busy or nested call runs inline, the first exception reaches
+// the caller and leaves the pool usable, and a tripped budget gate
+// cancels the un-started remainder of a batch.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +15,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -23,115 +23,132 @@ using namespace tsl;
 
 namespace {
 
-TEST(ThreadPool, RunsEverySubmittedTaskExactlyOnce) {
-  ThreadPool Pool(4);
-  EXPECT_EQ(Pool.concurrency(), 4u);
-  EXPECT_EQ(Pool.numWorkers(), 3u);
-
-  constexpr unsigned N = 200;
-  std::vector<std::atomic<unsigned>> Ran(N);
-  std::vector<std::future<unsigned>> Futures;
-  for (unsigned I = 0; I != N; ++I)
-    Futures.push_back(Pool.submit([&Ran, I] {
-      Ran[I].fetch_add(1);
-      return I * 2;
-    }));
-  for (unsigned I = 0; I != N; ++I)
-    EXPECT_EQ(Futures[I].get(), I * 2);
-  for (unsigned I = 0; I != N; ++I)
-    EXPECT_EQ(Ran[I].load(), 1u);
-  EXPECT_GE(Pool.tasksExecuted(), static_cast<uint64_t>(N));
-}
-
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  ThreadPool Pool(4);
-  constexpr std::size_t N = 1000;
-  std::vector<std::atomic<unsigned>> Hits(N);
-  Pool.parallelFor(N, [&](std::size_t I) { Hits[I].fetch_add(1); });
-  for (std::size_t I = 0; I != N; ++I)
-    EXPECT_EQ(Hits[I].load(), 1u) << "index " << I;
+  ThreadPool Pool;
+  for (unsigned Lanes : {1u, 2u, 8u}) {
+    constexpr std::size_t N = 1000;
+    std::vector<std::atomic<unsigned>> Hits(N);
+    Pool.parallelFor(
+        N, [&](std::size_t I) { Hits[I].fetch_add(1); }, Lanes);
+    for (std::size_t I = 0; I != N; ++I)
+      EXPECT_EQ(Hits[I].load(), 1u) << "lanes " << Lanes << " index " << I;
+  }
+  // Workers persist and never shrink: the 8-lane batch left seven.
+  EXPECT_EQ(Pool.numWorkers(), 7u);
 }
 
 TEST(ThreadPool, SingleThreadPoolRunsInlineWithoutWorkers) {
-  ThreadPool Pool(1);
+  ThreadPool Pool;
+  const std::thread::id Caller = std::this_thread::get_id();
+  unsigned Count = 0, Elsewhere = 0;
+  auto Count1 = [&](std::size_t) {
+    ++Count;
+    Elsewhere += std::this_thread::get_id() != Caller;
+  };
+  Pool.parallelFor(17, Count1, /*MaxConcurrency=*/1);
+  Pool.parallelFor(1, Count1, /*MaxConcurrency=*/8); // One index: one lane.
+  EXPECT_EQ(Count, 18u);
+  EXPECT_EQ(Elsewhere, 0u);
   EXPECT_EQ(Pool.numWorkers(), 0u);
-  std::thread::id Caller = std::this_thread::get_id();
-  bool SameThread = false;
-  auto F = Pool.submit([&] { SameThread = std::this_thread::get_id() == Caller; });
-  F.get();
-  EXPECT_TRUE(SameThread);
-  unsigned Count = 0;
-  Pool.parallelFor(17, [&](std::size_t) { ++Count; });
-  EXPECT_EQ(Count, 17u);
+  EXPECT_EQ(Pool.tasksExecuted(), 0u);
 }
 
-// Guaranteed steal: a worker blocks inside its task after stuffing its
-// own deque with subtasks. The blocked owner cannot pop them, external
-// threads have no deque, so the only way the subtasks can complete is
-// the other worker stealing them.
-TEST(ThreadPool, StealsFromAnImbalancedWorkerDeque) {
-  ThreadPool Pool(3); // Two workers: one hoards, one steals.
-  constexpr unsigned N = 64;
-  std::atomic<unsigned> Done{0};
-  auto Outer = Pool.submit([&] {
-    for (unsigned I = 0; I != N; ++I)
-      Pool.submit([&Done] { Done.fetch_add(1); });
-    // Block this worker until every subtask ran elsewhere.
-    auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (Done.load() != N &&
-           std::chrono::steady_clock::now() < Deadline)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+// A call that finds the pool running a batch — here, from another
+// thread while every lane of the first batch is parked — completes
+// inline on its own thread instead of waiting for the pool.
+TEST(ThreadPool, BusyPoolRunsAConcurrentCallInline) {
+  ThreadPool Pool;
+  std::atomic<unsigned> Parked{0};
+  std::atomic<bool> Release{false};
+  std::thread Outer([&] {
+    Pool.parallelFor(
+        2,
+        [&](std::size_t) {
+          Parked.fetch_add(1);
+          while (!Release.load())
+            std::this_thread::yield();
+        },
+        /*MaxConcurrency=*/2);
   });
-  Outer.get();
-  EXPECT_EQ(Done.load(), N);
-  EXPECT_GE(Pool.tasksStolen(), static_cast<uint64_t>(N));
+  while (Parked.load() != 2)
+    std::this_thread::yield();
+
+  const std::thread::id Caller = std::this_thread::get_id();
+  unsigned Count = 0, Elsewhere = 0;
+  Pool.parallelFor(
+      50,
+      [&](std::size_t) {
+        ++Count;
+        Elsewhere += std::this_thread::get_id() != Caller;
+      },
+      /*MaxConcurrency=*/4);
+  EXPECT_EQ(Count, 50u);
+  EXPECT_EQ(Elsewhere, 0u);
+
+  Release.store(true);
+  Outer.join();
+  EXPECT_EQ(Pool.numWorkers(), 1u);
 }
 
-TEST(ThreadPool, SubmitPropagatesExceptionsToTheFuture) {
-  ThreadPool Pool(3);
-  auto Bad = Pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  auto Good = Pool.submit([] { return 41 + 1; });
-  EXPECT_THROW(Bad.get(), std::runtime_error);
-  EXPECT_EQ(Good.get(), 42);
+// parallelFor from inside an index must not deadlock: the pool is
+// busy, so the nested call runs inline on the lane that made it.
+TEST(ThreadPool, NestedParallelForCompletes) {
+  ThreadPool Pool;
+  std::atomic<unsigned> Inner{0};
+  Pool.parallelFor(
+      4,
+      [&](std::size_t) {
+        Pool.parallelFor(50, [&](std::size_t) { Inner.fetch_add(1); }, 4);
+      },
+      /*MaxConcurrency=*/4);
+  EXPECT_EQ(Inner.load(), 200u);
 }
 
+// Crash isolation (runs under TSan via the "parallel" label): a lane
+// throwing must not terminate a worker or wedge the batch — the first
+// exception is rethrown on the caller, the remaining indices are
+// cancelled through the gate (reason "exception"), and the SAME pool
+// serves later batches completely.
 TEST(ThreadPool, ParallelForRethrowsTheFirstExceptionOnTheCaller) {
-  ThreadPool Pool(4);
-  std::atomic<unsigned> Ran{0};
-  EXPECT_THROW(Pool.parallelFor(100,
-                                [&](std::size_t I) {
-                                  if (I == 3)
-                                    throw std::logic_error("index 3");
-                                  Ran.fetch_add(1);
-                                }),
-               std::logic_error);
-  // The throw cancels un-started indices; started ones finished.
-  EXPECT_LT(Ran.load(), 100u);
+  ThreadPool Pool;
+  for (unsigned Round = 0; Round != 20; ++Round) {
+    SharedBudgetGate Gate(nullptr, "test.pool", /*StepCap=*/0);
+    EXPECT_THROW(Pool.parallelFor(
+                     100,
+                     [&](std::size_t I) {
+                       if (I == 3)
+                         throw std::logic_error("index 3");
+                     },
+                     /*MaxConcurrency=*/4, &Gate),
+                 std::logic_error);
+    EXPECT_TRUE(Gate.exhausted());
+    EXPECT_EQ(Gate.reason(), "exception");
+
+    std::atomic<unsigned> After{0};
+    Pool.parallelFor(100, [&](std::size_t) { After.fetch_add(1); }, 4);
+    EXPECT_EQ(After.load(), 100u);
+  }
 }
 
-TEST(ThreadPool, DestructorDrainsQueuedTasksBeforeJoining) {
-  constexpr unsigned N = 100;
-  std::atomic<unsigned> Done{0};
-  std::vector<std::future<void>> Futures;
-  {
-    ThreadPool Pool(2);
-    for (unsigned I = 0; I != N; ++I)
-      Futures.push_back(Pool.submit([&Done] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        Done.fetch_add(1);
-      }));
-    // Destruction races the queue: whatever is still queued must run,
-    // not be dropped.
-  }
-  EXPECT_EQ(Done.load(), N);
-  for (auto &F : Futures) {
-    ASSERT_EQ(F.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-    F.get();
-  }
+// Same isolation without a gate: the exception still cancels the rest
+// of the batch and rethrows on the caller, and the pool stays usable.
+TEST(ThreadPool, ThrowWithoutGateStillRethrowsAndPoolSurvives) {
+  ThreadPool Pool;
+  EXPECT_THROW(Pool.parallelFor(
+                   32,
+                   [&](std::size_t I) {
+                     if (I == 0)
+                       throw std::logic_error("first");
+                   },
+                   /*MaxConcurrency=*/3),
+               std::logic_error);
+  std::atomic<unsigned> After{0};
+  Pool.parallelFor(64, [&](std::size_t) { After.fetch_add(1); }, 3);
+  EXPECT_EQ(After.load(), 64u);
 }
 
 TEST(ThreadPool, BudgetGateCancelsRemainingParallelForIndices) {
-  ThreadPool Pool(2);
+  ThreadPool Pool;
   SharedBudgetGate Gate(nullptr, "test.pool", /*StepCap=*/10);
   std::atomic<unsigned> Ran{0};
   Pool.parallelFor(
@@ -140,76 +157,19 @@ TEST(ThreadPool, BudgetGateCancelsRemainingParallelForIndices) {
         Gate.spend();
         Ran.fetch_add(1);
       },
-      /*MaxConcurrency=*/0, &Gate);
+      /*MaxConcurrency=*/2, &Gate);
   EXPECT_TRUE(Gate.exhausted());
   // At least the indices that tripped the cap ran; the long tail of
-  // the queue was cancelled.
+  // the batch was cancelled.
   EXPECT_GE(Ran.load(), 10u);
   EXPECT_LT(Ran.load(), 1000u);
 }
 
-// parallelFor from inside a pool task must not deadlock: the nested
-// caller's lanes land in its own deque, and its helping-wait runs them
-// itself if nobody steals.
-TEST(ThreadPool, NestedParallelForCompletes) {
-  ThreadPool Pool(3);
-  std::atomic<unsigned> Inner{0};
-  auto F = Pool.submit([&] {
-    Pool.parallelFor(50, [&](std::size_t) { Inner.fetch_add(1); });
-  });
-  F.get();
-  EXPECT_EQ(Inner.load(), 50u);
-}
-
-// Crash-isolation regression (runs under TSan via the "parallel"
-// label): a task throwing while the caller is in its helping-wait
-// must not terminate a worker or wedge the drain — the first
-// exception is rethrown on the caller, the remaining indices are
-// cancelled through the gate (reason "exception"), and the SAME pool
-// serves subsequent parallelFor batches completely.
-TEST(ThreadPool, ThrowDuringHelpingWaitLeavesPoolUsable) {
-  ThreadPool Pool(4);
-  for (unsigned Round = 0; Round != 20; ++Round) {
-    SharedBudgetGate Gate(nullptr, "test.pool", /*StepCap=*/0);
-    std::atomic<unsigned> Ran{0};
-    EXPECT_THROW(Pool.parallelFor(
-                     64,
-                     [&](std::size_t I) {
-                       if (I == 5)
-                         throw std::runtime_error("boom");
-                       Ran.fetch_add(1);
-                     },
-                     /*MaxConcurrency=*/0, &Gate),
-                 std::runtime_error);
-    EXPECT_TRUE(Gate.exhausted());
-    EXPECT_EQ(Gate.reason(), "exception");
-
-    std::atomic<unsigned> After{0};
-    Pool.parallelFor(100, [&](std::size_t) { After.fetch_add(1); });
-    EXPECT_EQ(After.load(), 100u);
-  }
-}
-
-// Same isolation without a gate: the exception still cancels the rest
-// of the batch and rethrows on the caller, and the pool stays usable.
-TEST(ThreadPool, ThrowWithoutGateStillRethrowsAndPoolSurvives) {
-  ThreadPool Pool(3);
-  EXPECT_THROW(Pool.parallelFor(32,
-                                [&](std::size_t I) {
-                                  if (I == 0)
-                                    throw std::logic_error("first");
-                                }),
-               std::logic_error);
-  std::atomic<unsigned> After{0};
-  Pool.parallelFor(64, [&](std::size_t) { After.fetch_add(1); });
-  EXPECT_EQ(After.load(), 64u);
-}
-
-// The watchdog's preemptive cancel flag must stop a batch whose tasks
+// The watchdog's preemptive cancel flag must stop a batch whose items
 // never poll the gate: once the budget is cancelled, parallelFor hands
 // out no further indices.
 TEST(ThreadPool, CancelledBudgetStopsNonPollingBatch) {
-  ThreadPool Pool(2);
+  ThreadPool Pool;
   AnalysisBudget B;
   B.BudgetMs = 60'000;
   B.start();
@@ -218,13 +178,13 @@ TEST(ThreadPool, CancelledBudgetStopsNonPollingBatch) {
   Pool.parallelFor(
       1000,
       [&](std::size_t I) {
-        // Tasks never call Gate.spend(); only the task boundary can
+        // Items never call Gate.spend(); only the index boundary can
         // observe the cancellation.
         if (I == 0)
           B.cancel();
         Ran.fetch_add(1);
       },
-      /*MaxConcurrency=*/0, &Gate);
+      /*MaxConcurrency=*/2, &Gate);
   EXPECT_TRUE(Gate.exhausted());
   EXPECT_EQ(Gate.reason(), "watchdog");
   EXPECT_LT(Ran.load(), 1000u);

@@ -11,9 +11,9 @@
 //   thinslice prog.tsj --connect /tmp/tsl.sock --line 24
 //   thinslice prog.tsj --connect /tmp/tsl.sock --interactive
 //
-// Concurrency: request execution fans out on a shared work-stealing
-// pool; slices on one warm session run in parallel (readers) while
-// edits are exclusive (writer). Overload is answered with RETRY
+// Concurrency: each connection thread executes its own requests, at
+// most --threads at once; slices on one warm session run in parallel
+// (readers) while edits are exclusive (writer). Overload is answered with RETRY
 // (status 6), never queued unboundedly. SIGTERM/SIGINT drain: in-
 // flight requests finish and flush their responses, then the daemon
 // exits 0.
@@ -47,8 +47,7 @@ void onSignal(int) {
 
 void usage() {
   fprintf(stderr,
-          "usage: thinsliced --socket PATH [--threads N]\n"
-          "                  [--analysis-threads N] [--max-queue N]\n"
+          "usage: thinsliced --socket PATH [--threads N] [--max-queue N]\n"
           "                  [--max-sessions N] [--request-budget-ms N]\n"
           "                  [--cache-dir DIR]\n"
           "exit codes: 0 graceful drain, 1 bind/listen error, 2 usage,\n"
@@ -82,10 +81,6 @@ int runDaemon(int argc, char **argv) {
       if (!parsePositive("--threads", Next(), N))
         return 2;
       Opts.Threads = static_cast<unsigned>(N);
-    } else if (Arg == "--analysis-threads") {
-      if (!parsePositive("--analysis-threads", Next(), N))
-        return 2;
-      Opts.AnalysisThreads = static_cast<unsigned>(N);
     } else if (Arg == "--max-queue") {
       if (!parsePositive("--max-queue", Next(), N))
         return 2;
