@@ -10,8 +10,8 @@
 //  - the CSR traversal (sliceBackward on the finalized graph) vs the
 //    legacy adjacency walk that touches an edge record per step;
 //  - the batch engine itself: seed dedup + one shared budget gate
-//    (worker counts 1 and 4 -- on a single-core host the 4-worker
-//    number mostly demonstrates that threading does not regress);
+//    (BM_Batch/1 and /4 run the same sequential batch; the Arg once
+//    set a worker count and stays for the baseline's row names);
 //  - the same batch as forward queries, which sweep the shared
 //    condensation in the opposite order;
 //  - cross-query summary caching in context-sensitive mode: a cold
@@ -101,18 +101,17 @@ void BM_SeqCSR(benchmark::State &State) {
 }
 BENCHMARK(BM_SeqCSR)->Unit(benchmark::kMillisecond);
 
-/// The batch engine over every seed in direction \p Dir; Arg = worker
-/// count.
+/// The batch engine over every seed in direction \p Dir. Runs are
+/// sequential; the Arg is ignored and kept only so the rows keep the
+/// names of the recorded baseline.
 void runBatch(benchmark::State &State, SliceDirection Dir) {
   Built &B = builtOnce();
   SliceEngine Engine(*B.G);
   SliceQuery Q;
   Q.Direction = Dir;
   Q.Seeds = B.Seeds;
-  QueryOptions Opts;
-  Opts.Jobs = static_cast<unsigned>(State.range(0));
   for (auto _ : State) {
-    auto R = Engine.run(Q, Opts);
+    auto R = Engine.run(Q);
     benchmark::DoNotOptimize(R);
   }
   State.counters["seeds"] = NUM_SEEDS;
@@ -140,7 +139,6 @@ void BM_BatchCS_ColdSummaries(benchmark::State &State) {
     SummaryCache Cache; // fresh per iteration: always a miss
     BatchOptions Opts;
     Opts.ContextSensitive = true;
-    Opts.Jobs = 1;
     Opts.Summaries = &Cache;
     auto R = Engine.sliceBackwardBatch(B.Seeds, Opts);
     benchmark::DoNotOptimize(R);
@@ -157,7 +155,6 @@ void BM_BatchCS_WarmSummaries(benchmark::State &State) {
   static SummaryCache Cache;
   BatchOptions Opts;
   Opts.ContextSensitive = true;
-  Opts.Jobs = 1;
   Opts.Summaries = &Cache;
   Engine.sliceBackwardBatch(B.Seeds, Opts); // warm
   for (auto _ : State) {
@@ -179,7 +176,7 @@ int main(int argc, char **argv) {
   // the authoritative wall times; this is the one-glance number.
   Built &B = builtOnce();
   ThroughputRow Row =
-      runSliceThroughput(*B.G, B.Seeds, SliceMode::Thin, /*Jobs=*/1);
+      runSliceThroughput(*B.G, B.Seeds, SliceMode::Thin);
   // The legacy baseline, timed like runSliceThroughput's passes: one
   // warmup, then the fastest of eight.
   double LegacyMs = std::numeric_limits<double>::infinity();

@@ -39,19 +39,11 @@ std::map<std::string, std::unique_ptr<AnalysisSession>> &sessionRegistry() {
   return Registry;
 }
 
-/// Concurrency installed into every registry session (see
-/// setEvalThreads).
-unsigned &evalThreads() {
-  static unsigned Threads = 1;
-  return Threads;
-}
-
 AnalysisSession &sessionFor(const WorkloadProgram &W) {
   auto &Cache = sessionRegistry();
   auto It = Cache.find(W.Name);
   if (It == Cache.end()) {
     auto S = std::make_unique<AnalysisSession>(W.Source);
-    S->setThreads(evalThreads());
     if (!S->program())
       throw std::runtime_error("workload '" + W.Name +
                                "' failed to compile:\n" +
@@ -262,7 +254,6 @@ std::vector<Table1Row> tsl::runTable1() {
     // a miss, so the timings measure the real builds exactly as the
     // hand-rolled pipeline did.
     AnalysisSession Sess(W.Source);
-    Sess.setThreads(evalThreads());
     auto T0 = std::chrono::steady_clock::now();
     Program *P = Sess.program();
     if (!P)
@@ -417,7 +408,6 @@ tsl::runScalability(const std::vector<unsigned> &PadSizes) {
     // the CI -> CS switch below reuses its compile and points-to run,
     // which is exactly the cost the CS column is supposed to isolate.
     AnalysisSession S(W.Source);
-    S.setThreads(evalThreads());
     Program *P = S.program();
     if (!P)
       throw std::runtime_error("scalability workload failed: " +
@@ -450,7 +440,7 @@ tsl::runScalability(const std::vector<unsigned> &PadSizes) {
     // queries vs one engine batch over the same seed set.
     std::vector<const Instr *> Seeds = collectSliceSeeds(*P, 16);
     ThroughputRow TP =
-        runSliceThroughput(*CI, Seeds, SliceMode::Thin, /*Jobs=*/1);
+        runSliceThroughput(*CI, Seeds, SliceMode::Thin);
     Row.BatchSeeds = TP.Seeds;
     Row.SeqMs = TP.SeqMs;
     Row.BatchMs = TP.BatchMs;
@@ -557,7 +547,7 @@ std::vector<const Instr *> tsl::collectSliceSeeds(const Program &P,
 
 ThroughputRow tsl::runSliceThroughput(const SDG &G,
                                       const std::vector<const Instr *> &Seeds,
-                                      SliceMode Mode, unsigned Jobs) {
+                                      SliceMode Mode) {
   ThroughputRow Row;
   Row.Seeds = static_cast<unsigned>(Seeds.size());
   G.ensureFinalized();
@@ -565,7 +555,6 @@ ThroughputRow tsl::runSliceThroughput(const SDG &G,
   SliceEngine Engine(G);
   BatchOptions Opts;
   Opts.Mode = Mode;
-  Opts.Jobs = Jobs;
 
   // One untimed warmup pass per configuration: the first traversal
   // faults the graph into cache and the engine builds its reusable
@@ -685,7 +674,5 @@ std::string tsl::formatAblation(const std::vector<AblationRow> &Rows) {
   }
   return Out;
 }
-
-void tsl::setEvalThreads(unsigned Threads) { evalThreads() = Threads; }
 
 void tsl::resetEvalSessions() { sessionRegistry().clear(); }

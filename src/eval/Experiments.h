@@ -124,7 +124,7 @@ struct ThroughputRow {
 };
 ThroughputRow runSliceThroughput(const SDG &G,
                                  const std::vector<const Instr *> &Seeds,
-                                 SliceMode Mode, unsigned Jobs);
+                                 SliceMode Mode);
 
 /// Fixed-width text renderings (what the bench binaries print).
 std::string formatTable1(const std::vector<Table1Row> &Rows);
@@ -133,16 +133,8 @@ std::string formatInspectionTable(const std::string &Title,
 std::string formatScalability(const std::vector<ScalabilityRow> &Rows);
 std::string formatAblation(const std::vector<AblationRow> &Rows);
 
-/// Slice-batch concurrency the experiment drivers install into every
-/// session they create (warm registry sessions and the timing
-/// drivers' local ones). Default 1. Tables are byte-identical for
-/// every value — asserted by the parallel determinism tests.
-void setEvalThreads(unsigned Threads);
-
 /// Drops the process-wide warm-session registry so the next driver
-/// call rebuilds every artifact (e.g. under a new setEvalThreads
-/// value — a warm registry would otherwise serve cached artifacts and
-/// make cross-thread-count comparisons vacuous).
+/// call rebuilds every artifact.
 void resetEvalSessions();
 
 /// Rewrites the workload so main() additionally runs \p PadClasses

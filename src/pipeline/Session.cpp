@@ -5,16 +5,13 @@
 #include "ir/ProgramIO.h"
 #include "lang/Incremental.h"
 #include "pta/Snapshot.h"
-#include "support/Watchdog.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <sstream>
-#include <thread>
 
 using namespace tsl;
 
@@ -24,51 +21,6 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        Start)
       .count();
-}
-
-/// Runs one stage computation inside the session's failure-isolation
-/// harness: a Watchdog enforces the budget's wall-clock deadline
-/// preemptively, and an exception escaping the stage (injected Throw
-/// fault, internal error) is caught at this boundary and retried up to
-/// a small bound with backoff — a transient fault disarms when it
-/// fires, so the retry runs clean. Returns nullopt (with \p Err set)
-/// when every attempt failed; \p FaultFired reports whether an armed
-/// fault fired during the *successful* attempt, which is what marks
-/// the produced artifact tainted.
-template <typename Fn>
-auto computeStage(const char *Stage, const AnalysisBudget *B, Status &Err,
-                  uint64_t &Failures, uint64_t &Retries, bool &FaultFired,
-                  Fn &&Compute) -> std::optional<decltype(Compute())> {
-  constexpr int MaxAttempts = 3;
-  for (int Attempt = 1;; ++Attempt) {
-    uint64_t FiredBefore = FaultInjector::instance().firedCount();
-    try {
-      Watchdog WD(B);
-      auto R = Compute();
-      Err = Status::ok();
-      FaultFired =
-          FaultInjector::instance().firedCount() != FiredBefore;
-      return R;
-    } catch (const FaultInjectedError &E) {
-      Err = Status(StatusCode::FaultInjected,
-                   std::string(Stage) + ": " + E.what());
-    } catch (const std::exception &E) {
-      Err = Status(StatusCode::Internal,
-                   std::string(Stage) + ": " + E.what());
-    } catch (...) {
-      Err = Status(StatusCode::Internal,
-                   std::string(Stage) + ": unknown exception");
-    }
-    if (Attempt == MaxAttempts) {
-      ++Failures;
-      FaultFired = true;
-      return std::nullopt;
-    }
-    ++Retries;
-    // Tiny exponential backoff: enough for a transient cause to
-    // clear, short enough to stay interactive.
-    std::this_thread::sleep_for(std::chrono::milliseconds(1 << (Attempt - 1)));
-  }
 }
 
 /// 64-bit digest over the source text: the cheap, stable identity
@@ -106,8 +58,6 @@ std::string digest(const CompileOptions &O) {
   return D;
 }
 
-// The session thread count is NOT digested: it only sizes the slice
-// batch pool, which never changes any artifact's bytes.
 std::string digest(const PTAOptions &O) {
   std::ostringstream OS;
   OS << "objsens=" << O.ObjSensContainers << ";depth=" << O.MaxObjSensDepth
@@ -156,13 +106,6 @@ AnalysisSession::AnalysisSession(std::string Source, CompileOptions CO)
 
 AnalysisSession::~AnalysisSession() = default;
 
-unsigned AnalysisSession::threadsResolved() const {
-  if (Threads)
-    return Threads;
-  unsigned HW = std::thread::hardware_concurrency();
-  return HW ? HW : 1;
-}
-
 //===----------------------------------------------------------------------===//
 // Invalidation
 //===----------------------------------------------------------------------===//
@@ -184,97 +127,49 @@ void AnalysisSession::purgeAnalyses() {
   SdgCache.clear();
   ModRefCache.clear();
   PtaCache.clear();
-  TaintedPta.clear();
-  TaintedModRef.clear();
-  TaintedSdg.clear();
-  TaintedSlices.clear();
+  // Summaries are keyed by SDG address and epoch; a rebuilt graph may
+  // reuse a freed one's address.
+  Summaries.clear();
   PendingPtaBytes.clear();
   PendingMrBytes.clear();
   PendingLayerKey.clear();
   // No artifact holds retired-body pointers anymore.
   RetiredBodyStore.clear();
+  FaultyWork = false;
 }
 
 //===----------------------------------------------------------------------===//
-// Tainted-artifact eviction (retry-on-next-request)
+// Failure isolation
 //===----------------------------------------------------------------------===//
 
-void AnalysisSession::evictSdgCone(const std::string &Key) {
-  for (auto It = SliceCache.begin(); It != SliceCache.end();) {
-    if (std::get<0>(It->first) == Key) {
-      ++counters(SessionStage::Slice).Invalidated;
-      TaintedSlices.erase(It->first);
-      It = SliceCache.erase(It);
-    } else {
-      ++It;
-    }
+template <typename Fn>
+Status AnalysisSession::computeStage(const char *Stage, Fn &&Compute) {
+  FaultInjector &FI = FaultInjector::instance();
+  if (FI.anyArmed()) {
+    FaultyWork = true;
+    FaultyGen = FI.generation();
   }
-  counters(SessionStage::Engine).Invalidated += EngineCache.erase(Key);
-  counters(SessionStage::SDGBuild).Invalidated += SdgCache.erase(Key);
-  TaintedSdg.erase(Key);
-  // Summaries are keyed by SDG identity; a recomputed graph may reuse
-  // the evicted one's address, so drop them wholesale. Only runs on
-  // fault-tainted paths — the clean hot path never gets here.
-  Summaries.clear();
+  StatusCode Code = StatusCode::Internal;
+  std::string Why;
+  try {
+    Compute();
+    return Status::ok();
+  } catch (const FaultInjectedError &E) {
+    Code = StatusCode::FaultInjected;
+    Why = E.what();
+  } catch (const std::exception &E) {
+    Why = E.what();
+  } catch (...) {
+    Why = "unknown exception";
+  }
+  ++StageFailures;
+  return Status(Code, std::string(Stage) + ": " + Why);
 }
 
-void AnalysisSession::evictModRefEntry(const std::string &Key) {
-  // Context-sensitive SDGs hold references into the mod-ref artifact:
-  // every SDG of this PTA cone goes too.
-  for (auto It = SdgCache.begin(); It != SdgCache.end();) {
-    if (It->first.compare(0, Key.size(), Key) == 0) {
-      std::string SdgK = It->first;
-      ++It;
-      evictSdgCone(SdgK);
-    } else {
-      ++It;
-    }
-  }
-  counters(SessionStage::ModRef).Invalidated += ModRefCache.erase(Key);
-  TaintedModRef.erase(Key);
+void AnalysisSession::dropFaultyWork() {
+  if (FaultyWork && FaultInjector::instance().generation() != FaultyGen)
+    purgeAnalyses();
 }
-
-void AnalysisSession::evictPtaCone(const std::string &Key) {
-  evictModRefEntry(Key);
-  counters(SessionStage::PTA).Invalidated += PtaCache.erase(Key);
-  TaintedPta.erase(Key);
-}
-
-void AnalysisSession::healTainted() {
-  // Bottom-up over the cones; each evict erases its own taint mark,
-  // so the loops drain.
-  while (!TaintedPta.empty())
-    evictPtaCone(*TaintedPta.begin());
-  while (!TaintedModRef.empty())
-    evictModRefEntry(*TaintedModRef.begin());
-  while (!TaintedSdg.empty())
-    evictSdgCone(*TaintedSdg.begin());
-  if (!TaintedSlices.empty()) {
-    for (const SliceKey &K : TaintedSlices)
-      if (SliceCache.erase(K))
-        ++counters(SessionStage::Slice).Invalidated;
-    TaintedSlices.clear();
-    // Summaries may embed the same fault: they go too.
-    Summaries.clear();
-  }
-}
-
-/// RAII re-entrancy guard on the public accessors: fault-tainted
-/// artifacts heal exactly once, when the OUTERMOST accessor of a
-/// request enters — before any raw artifact pointer is handed out.
-/// An eviction from a nested call would free memory the outer frames
-/// of the same request still dereference (use-after-free caught by
-/// the ASan chaos run). Artifacts tainted DURING the request stay
-/// served until its end — downstream artifacts hold references into
-/// them — and heal at the next request.
-struct AnalysisSession::RequestScope {
-  explicit RequestScope(AnalysisSession &S) : S(S) {
-    if (S.RequestDepth++ == 0)
-      S.healTainted();
-  }
-  ~RequestScope() { --S.RequestDepth; }
-  AnalysisSession &S;
-};
 
 void AnalysisSession::purgeAll() {
   purgeAnalyses();
@@ -302,6 +197,9 @@ bool AnalysisSession::trySetSourceIncremental(const std::string &NewSource) {
   };
   if (!Prog || !CompileAttempted)
     return Cold("no compiled program to update");
+  // Work computed under a since-changed fault arming is not carried
+  // through an update.
+  dropFaultyWork();
   if (Budget)
     return Cold("budgeted session");
   if (!CurCompile.BuildSSA)
@@ -352,25 +250,19 @@ bool AnalysisSession::trySetSourceIncremental(const std::string &NewSource) {
       Req.DeadLocals.insert(L.get());
   }
 
-  // Extract the current-option artifacts (tainted ones stay behind
-  // and die with the purge below — carrying a fault-tainted artifact
-  // through an in-place update would lose the heal-on-next-request
-  // guarantee).
+  // Extract the current-option artifacts.
   std::unique_ptr<PointsToResult> Pta;
   std::unique_ptr<ModRefResult> MR;
   std::unique_ptr<SDG> Graph;
-  if (auto It = PtaCache.find(OldPtaKey);
-      It != PtaCache.end() && !TaintedPta.count(OldPtaKey)) {
+  if (auto It = PtaCache.find(OldPtaKey); It != PtaCache.end()) {
     Pta = std::move(It->second);
     PtaCache.erase(It);
   }
-  if (auto It = ModRefCache.find(OldPtaKey);
-      It != ModRefCache.end() && !TaintedModRef.count(OldPtaKey)) {
+  if (auto It = ModRefCache.find(OldPtaKey); It != ModRefCache.end()) {
     MR = std::move(It->second);
     ModRefCache.erase(It);
   }
-  if (auto It = SdgCache.find(OldSdgKey);
-      It != SdgCache.end() && !TaintedSdg.count(OldSdgKey)) {
+  if (auto It = SdgCache.find(OldSdgKey); It != SdgCache.end()) {
     Graph = std::move(It->second);
     SdgCache.erase(It);
   }
@@ -379,18 +271,14 @@ bool AnalysisSession::trySetSourceIncremental(const std::string &NewSource) {
   // summaries — is stale against the new source.
   counters(SessionStage::Slice).Invalidated += SliceCache.size();
   SliceCache.clear();
-  TaintedSlices.clear();
   counters(SessionStage::Engine).Invalidated += EngineCache.size();
   EngineCache.clear();
   counters(SessionStage::SDGBuild).Invalidated += SdgCache.size();
   SdgCache.clear();
-  TaintedSdg.clear();
   counters(SessionStage::ModRef).Invalidated += ModRefCache.size();
   ModRefCache.clear();
-  TaintedModRef.clear();
   counters(SessionStage::PTA).Invalidated += PtaCache.size();
   PtaCache.clear();
-  TaintedPta.clear();
   Summaries.clear();
 
   // Stage updates, each with transparent per-stage cold fallback: a
@@ -766,7 +654,6 @@ Status AnalysisSession::saveToCacheDir() {
 //===----------------------------------------------------------------------===//
 
 Program *AnalysisSession::program() {
-  RequestScope Scope(*this);
   StageCounters &C = counters(SessionStage::Compile);
   if (CompileAttempted) {
     ++C.Hits;
@@ -792,7 +679,7 @@ Program *AnalysisSession::program() {
 }
 
 PointsToResult *AnalysisSession::pointsTo() {
-  RequestScope Scope(*this);
+  dropFaultyWork();
   Program *P = program();
   if (!P)
     return nullptr;
@@ -826,21 +713,16 @@ PointsToResult *AnalysisSession::pointsTo() {
   auto T0 = std::chrono::steady_clock::now();
   PTAOptions Opts = CurPta;
   Opts.Budget = Budget;
-  bool Tainted = false;
-  auto R = computeStage("pta", Budget, LastErr, StageFailures, StageRetries,
-                        Tainted, [&] { return runPointsTo(*P, Opts); });
+  std::unique_ptr<PointsToResult> R;
+  LastErr = computeStage("pta", [&] { R = runPointsTo(*P, Opts); });
   C.Seconds += secondsSince(T0);
   if (!R)
     return nullptr; // Failure recorded in lastError(); nothing cached.
-  PointsToResult *Out =
-      PtaCache.emplace(Key, std::move(*R)).first->second.get();
-  if (Tainted)
-    TaintedPta.insert(Key);
-  return Out;
+  return PtaCache.emplace(Key, std::move(R)).first->second.get();
 }
 
 ModRefResult *AnalysisSession::modRef() {
-  RequestScope Scope(*this);
+  dropFaultyWork();
   PointsToResult *PTA = pointsTo();
   if (!PTA)
     return nullptr;
@@ -871,24 +753,18 @@ ModRefResult *AnalysisSession::modRef() {
   }
   ++C.Misses;
   auto T0 = std::chrono::steady_clock::now();
-  bool Tainted = false;
-  auto R = computeStage("modref", Budget, LastErr, StageFailures,
-                        StageRetries, Tainted, [&] {
-                          return std::make_unique<ModRefResult>(*Prog, *PTA,
-                                                                Budget);
-                        });
+  std::unique_ptr<ModRefResult> R;
+  LastErr = computeStage("modref", [&] {
+    R = std::make_unique<ModRefResult>(*Prog, *PTA, Budget);
+  });
   C.Seconds += secondsSince(T0);
   if (!R)
     return nullptr;
-  ModRefResult *Out =
-      ModRefCache.emplace(Key, std::move(*R)).first->second.get();
-  if (Tainted)
-    TaintedModRef.insert(Key);
-  return Out;
+  return ModRefCache.emplace(Key, std::move(R)).first->second.get();
 }
 
 SDG *AnalysisSession::sdg() {
-  RequestScope Scope(*this);
+  dropFaultyWork();
   // Cache first, upstream second: a cached graph (in particular a
   // warm-started one) answers without forcing the points-to layer
   // to materialize.
@@ -914,20 +790,17 @@ SDG *AnalysisSession::sdg() {
   auto T0 = std::chrono::steady_clock::now();
   SDGOptions Opts = CurSdg;
   Opts.Budget = Budget;
-  bool Tainted = false;
-  auto R = computeStage("sdg", Budget, LastErr, StageFailures, StageRetries,
-                        Tainted, [&] { return buildSDG(*Prog, *PTA, MR, Opts); });
+  std::unique_ptr<SDG> R;
+  LastErr =
+      computeStage("sdg", [&] { R = buildSDG(*Prog, *PTA, MR, Opts); });
   C.Seconds += secondsSince(T0);
   if (!R)
     return nullptr;
-  SDG *Out = SdgCache.emplace(Key, std::move(*R)).first->second.get();
-  if (Tainted)
-    TaintedSdg.insert(Key);
-  return Out;
+  return SdgCache.emplace(Key, std::move(R)).first->second.get();
 }
 
 SliceEngine *AnalysisSession::engine() {
-  RequestScope Scope(*this);
+  dropFaultyWork();
   SDG *G = sdg();
   if (!G)
     return nullptr;
@@ -939,17 +812,13 @@ SliceEngine *AnalysisSession::engine() {
   }
   ++C.Misses;
   auto T0 = std::chrono::steady_clock::now();
-  bool Tainted = false;
-  auto R = computeStage("engine", Budget, LastErr, StageFailures,
-                        StageRetries, Tainted,
-                        [&] {
-                          return std::make_unique<SliceEngine>(*G, &Pool);
-                        });
+  std::unique_ptr<SliceEngine> R;
+  LastErr =
+      computeStage("engine", [&] { R = std::make_unique<SliceEngine>(*G); });
   C.Seconds += secondsSince(T0);
   if (!R)
     return nullptr;
-  // Engine construction has no fault points — no taint tracking here.
-  return EngineCache.emplace(sdgKey(), std::move(*R)).first->second.get();
+  return EngineCache.emplace(sdgKey(), std::move(R)).first->second.get();
 }
 
 const std::vector<SliceResult> *AnalysisSession::query(SliceQuery Q) {
@@ -958,7 +827,6 @@ const std::vector<SliceResult> *AnalysisSession::query(SliceQuery Q) {
     LastErr = Status(StatusCode::InvalidArgument, "null slice seed");
     return nullptr;
   }
-  RequestScope Scope(*this);
   SliceEngine *E = engine();
   if (!E)
     return nullptr;
@@ -973,20 +841,14 @@ const std::vector<SliceResult> *AnalysisSession::query(SliceQuery Q) {
   ++C.Misses;
   auto T0 = std::chrono::steady_clock::now();
   QueryOptions QO;
-  QO.Jobs = threadsResolved();
   QO.Budget = Budget;
   QO.Summaries = CurSdg.ContextSensitive ? &Summaries : nullptr;
-  bool Tainted = false;
-  auto R = computeStage("slice", Budget, LastErr, StageFailures, StageRetries,
-                        Tainted, [&] { return E->run(Q, QO); });
+  std::vector<SliceResult> R;
+  LastErr = computeStage("slice", [&] { R = E->run(Q, QO); });
   C.Seconds += secondsSince(T0);
-  if (!R)
+  if (!LastErr.isOk())
     return nullptr;
-  const std::vector<SliceResult> *Out =
-      &SliceCache.emplace(Key, std::move(*R)).first->second;
-  if (Tainted)
-    TaintedSlices.insert(Key);
-  return Out;
+  return &SliceCache.emplace(Key, std::move(R)).first->second;
 }
 
 const SliceResult *AnalysisSession::sliceBackwardCached(const Instr *Seed,
@@ -1039,16 +901,9 @@ std::string AnalysisSession::statsString() const {
              R.Seconds * 1000.0);
     Out += Buf;
   }
-  snprintf(Buf, sizeof(Buf),
-           "parallelism: threads=%u pool_workers=%u tasks=%llu\n",
-           threadsResolved(), Pool.numWorkers(),
-           static_cast<unsigned long long>(Pool.tasksExecuted()));
-  Out += Buf;
-  if (StageFailures || StageRetries) {
-    snprintf(Buf, sizeof(Buf),
-             "failure isolation: stage_failures=%llu retries=%llu\n",
-             static_cast<unsigned long long>(StageFailures),
-             static_cast<unsigned long long>(StageRetries));
+  if (StageFailures) {
+    snprintf(Buf, sizeof(Buf), "failure isolation: stage_failures=%llu\n",
+             static_cast<unsigned long long>(StageFailures));
     Out += Buf;
   }
   if (IncStats.Attempts) {

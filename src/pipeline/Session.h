@@ -37,10 +37,10 @@
 /// artifact embeds the budget outcome it was computed under, changing
 /// the budget is a destructive invalidation rather than a re-key.
 ///
-/// Threading: a session is confined to one thread. The SliceEngine it
-/// hands out fans batches across the session's one worker pool over
-/// the immutable finalized SDG; that reuse is exercised under TSan by
-/// the `pipeline` ctest label.
+/// Threading: a session is confined to one thread, and every request
+/// runs once, on the calling thread. The daemon's connection threads
+/// are the only concurrency: they read one session's finalized SDG
+/// under a shared lock (see service/Registry.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,11 +59,9 @@
 #include "support/Diagnostics.h"
 #include "support/Serialize.h"
 #include "support/Status.h"
-#include "support/ThreadPool.h"
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -153,19 +151,11 @@ public:
   /// (the compiled program survives: compilation is ungoverned).
   void setBudget(const AnalysisBudget *B);
 
-  /// Sets the slice-batch concurrency: the lanes (including the
-  /// calling thread) a query may use on the session's pool. The
-  /// analysis stages always run sequentially. 0 means hardware
-  /// concurrency; 1 runs batches inline and starts no worker. Unlike
-  /// the option setters this re-keys NOTHING — batch results are
-  /// byte-identical for every thread count, so a cached artifact stays
-  /// valid across setThreads calls (asserted by the determinism
-  /// tests).
-  void setThreads(unsigned N) { Threads = N; }
-  unsigned threads() const { return Threads; }
-
-  /// Resolved thread count (hardware concurrency substituted for 0).
-  unsigned threadsResolved() const;
+  /// Ignored: every request runs on the calling thread. Kept, with
+  /// threadsResolved() always 1, so that callers written for the
+  /// former slice pool still compile.
+  void setThreads(unsigned) {}
+  unsigned threadsResolved() const { return 1; }
 
   const PTAOptions &ptaOptions() const { return CurPta; }
   const SDGOptions &sdgOptions() const { return CurSdg; }
@@ -185,20 +175,20 @@ public:
   SliceEngine *engine();
 
   //===------------------------------------------------------------------===//
-  // Failure isolation. A stage that *crashes* (an exception escaping
-  // it — injected Throw fault or internal error) is caught here at the
-  // boundary: the computation is retried up to a small bound (with
-  // backoff; a transient fault disarms on firing, so the retry runs
-  // clean), and if every attempt fails the session records the Status,
-  // caches NOTHING, and stays fully queryable — the next request for
-  // the artifact retries from scratch. A stage that soundly *degrades*
-  // because a fault tripped its gate produces a valid artifact, which
-  // is served now but marked tainted: the next request evicts it (and
-  // its downstream cone, which holds references into it) and
-  // recomputes, so the session converges back to the fault-free
-  // answer once the fault clears. Every governed compute additionally
-  // runs under a Watchdog enforcing the budget's wall-clock deadline
-  // preemptively (see support/Watchdog.h).
+  // Failure isolation. Each stage computes once per request. A stage
+  // that *crashes* (an exception escaping it — injected Throw fault or
+  // internal error) is caught at the session boundary: the session
+  // records the Status, caches NOTHING, and stays fully queryable —
+  // the next request computes the stage again. A stage that soundly
+  // *degrades* because a fault tripped its gate produces a valid
+  // artifact, which is served and cached like a budget-degraded one.
+  // The session remembers the FaultInjector generation of any stage
+  // it computed while a fault was armed; the first accessor that sees
+  // a newer generation (the fault was re-armed or reset) purges the
+  // analyses, so the session converges back to the fault-free answer
+  // once the fault clears. The generation never changes inside a
+  // request, so no nested accessor frees an artifact an outer frame
+  // still holds.
   //===------------------------------------------------------------------===//
 
   /// Status of the most recent artifact request: Ok after success
@@ -206,10 +196,8 @@ public:
   /// failure Status after a null return.
   const Status &lastError() const { return LastErr; }
 
-  /// Failure-isolation telemetry: stage computations that exhausted
-  /// their retries, and individual retry attempts performed.
+  /// Failure-isolation telemetry: stage computations that threw.
   uint64_t stageFailures() const { return StageFailures; }
-  uint64_t stageRetries() const { return StageRetries; }
 
   /// Diagnostics of the most recent compile (empty before the first
   /// program() call).
@@ -224,7 +212,7 @@ public:
   //===------------------------------------------------------------------===//
 
   /// Answers \p Q on the engine of the current SDG with the session's
-  /// budget, thread count and summary cache — the entry point every
+  /// budget and summary cache — the entry point every
   /// frontend's slice goes through. Q.ContextSensitive is taken from
   /// sdgOptions(). Memoized per (graph, query): an identical re-query
   /// is a Slice-stage cache hit returning the same results. Null when
@@ -323,12 +311,9 @@ public:
   /// computing misses. One report per SessionStage, in stage order.
   std::vector<StageReport> stageReports() const;
 
-  /// Human-readable rendering of stageReports() plus the parallelism,
+  /// Human-readable rendering of stageReports() plus the failure,
   /// incremental, and snapshot telemetry lines — the block `thinslice
-  /// --stats` and the interactive `stats` command print. Memoized on a
-  /// fingerprint of every counter it renders: repeated calls with no
-  /// intervening activity return the cached string without
-  /// re-formatting.
+  /// --stats` and the interactive `stats` command print.
   std::string statsString() const;
 
 private:
@@ -351,7 +336,8 @@ private:
     return Counters[static_cast<unsigned>(S)];
   }
   void bumpFrom(SessionStage S);
-  void purgeAnalyses(); ///< Destroys PTA..Slice entries (not the program).
+  /// Destroys PTA..Slice entries and the summaries (not the program).
+  void purgeAnalyses();
   void purgeAll();      ///< Destroys everything including the program.
 
   /// The incremental setSource() fast path. Returns true when the
@@ -362,21 +348,14 @@ private:
   /// path's purge then discards.
   bool trySetSourceIncremental(const std::string &NewSource);
 
-  /// Tainted-artifact eviction (retry-on-next-request). Downstream
-  /// artifacts hold references into upstream ones, so eviction always
-  /// cascades down the cone, bottom-up.
-  void evictPtaCone(const std::string &Key);    ///< PTA + everything below.
-  void evictModRefEntry(const std::string &Key);///< ModRef + SDG cone below.
-  void evictSdgCone(const std::string &Key);    ///< SDG/engine/slices.
+  /// Runs one stage computation at the failure boundary: notes the
+  /// fault generation when a fault is armed, and turns an exception
+  /// escaping \p Compute into the returned (and counted) Status.
+  template <typename Fn> Status computeStage(const char *Stage, Fn &&Compute);
 
-  /// Evicts every fault-tainted artifact (with its downstream cone)
-  /// so the request about to run recomputes them clean. Runs ONLY at
-  /// the outermost public accessor of a request (see RequestScope):
-  /// a nested stage call (sdg -> modRef -> pointsTo) must never free
-  /// an artifact an outer frame of the same request still references.
-  void healTainted();
-  struct RequestScope;
-  unsigned RequestDepth = 0;
+  /// Purges the analyses when one was computed under a fault arming
+  /// that has since changed. Every artifact accessor calls it first.
+  void dropFaultyWork();
 
   std::string ptaKey() const;
   std::string sdgKey() const;
@@ -392,11 +371,6 @@ private:
   PTAOptions CurPta;
   SDGOptions CurSdg;
   const AnalysisBudget *Budget = nullptr;
-  unsigned Threads = 1;
-
-  // --- the slice-batch pool. Declared before the artifact stores:
-  // cached SliceEngines run on it, so it is destroyed after them.
-  ThreadPool Pool;
 
   // --- artifact stores. Declaration order is lifetime order: every
   // downstream artifact holds references into its upstream (ModRef
@@ -432,21 +406,16 @@ private:
   std::vector<uint8_t> PendingMrBytes;
   std::string PendingLayerKey;
 
-  // --- failure isolation. Tainted keys name cached artifacts that
-  // were computed while an injected fault fired: still sound (served
-  // for the request that computed them) but evicted and recomputed on
-  // the next request, so a cleared fault heals the session.
-  std::set<std::string> TaintedPta;
-  std::set<std::string> TaintedModRef;
-  std::set<std::string> TaintedSdg;
-  std::set<SliceKey> TaintedSlices;
+  // --- failure isolation: whether a cached analysis was computed
+  // while a fault was armed, and the injector generation it saw.
+  bool FaultyWork = false;
+  uint64_t FaultyGen = 0;
   Status LastErr;
 
   // --- telemetry
   StageCounters Counters[NumSessionStages];
   uint64_t Epochs[NumSessionStages] = {};
   uint64_t StageFailures = 0;
-  uint64_t StageRetries = 0;
   bool IncrementalEnabled = false;
   IncrementalStats IncStats;
   std::string CacheDir;

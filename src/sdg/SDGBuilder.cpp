@@ -454,16 +454,6 @@ void Builder::buildHeapCS(const Clone &C, BudgetGate &Gate) {
   const Method *M = C.M;
   const CallGraph &CG = PTA.callGraph();
 
-  // Formal heap parameters for this method.
-  const BitSet &Ref = MR->refOf(M);
-  const BitSet &Mod = MR->modOf(M);
-  Ref.forEach([&](unsigned Part) {
-    G->addHeapNode(SDGNodeKind::HeapFormalIn, nullptr, M, Part);
-  });
-  Mod.forEach([&](unsigned Part) {
-    G->addHeapNode(SDGNodeKind::HeapFormalOut, nullptr, M, Part);
-  });
-
   // Group this method's heap accesses and calls by partition.
   // Ordered by partition id: iteration below inserts edges and can
   // trip the gate mid-loop, so its order must be deterministic.
@@ -647,6 +637,16 @@ std::unique_ptr<SDG> Builder::run(const Program &P) {
     PartSlot.assign(MR->numPartitions(), ~0u);
     for (const Clone &C : Clones)
       buildScalarCallsCS(C);
+    // Every method's heap formals exist before any call site is wired,
+    // so a call to a method declared later still finds them.
+    for (const Clone &C : Clones) {
+      MR->refOf(C.M).forEach([&](unsigned Part) {
+        G->addHeapNode(SDGNodeKind::HeapFormalIn, nullptr, C.M, Part);
+      });
+      MR->modOf(C.M).forEach([&](unsigned Part) {
+        G->addHeapNode(SDGNodeKind::HeapFormalOut, nullptr, C.M, Part);
+      });
+    }
     for (const Clone &C : Clones) {
       buildHeapCS(C, HeapGate);
       if (HeapGate.exhausted())

@@ -69,7 +69,7 @@ enum class ServiceStatus : uint8_t {
   Error = 1,      ///< File/compile error (diagnostics in Detail).
   BadRequest = 2, ///< Malformed or unanswerable request.
   Degraded = 3,   ///< Sound but budget-degraded result.
-  Internal = 5,   ///< A stage crashed and exhausted its retries.
+  Internal = 5,   ///< An analysis stage crashed.
   Retry = 6,      ///< Overloaded or draining: back off and resend.
 };
 

@@ -68,7 +68,7 @@ struct WarmSession {
   SDG *Graph = nullptr;
   std::string CompileErrors;
   /// Non-empty when the program compiled but a downstream stage
-  /// failed (crashed and exhausted its retries): the lastError() text
+  /// failed (a stage crashed): the lastError() text
   /// slice requests report as Internal.
   std::string StageError;
 

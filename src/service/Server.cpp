@@ -343,15 +343,14 @@ ServiceResponse SliceServer::handleQuery(const ServiceRequest &Req) {
     return {ServiceStatus::BadRequest, "", Why};
 
   // A request-local engine over the shared immutable graph: queries
-  // from concurrent clients stay independent (each runs inline on its
-  // connection thread; the request fan-out IS the parallelism). The
+  // from concurrent clients stay independent (each runs on its
+  // connection thread; the connections ARE the parallelism). The
   // session's SummaryCache is thread-safe, so shared-lock readers may
   // consult (and populate) it concurrently; summaries depend only on
   // (graph epoch, mode), which the exclusive edit path bumps.
   RequestBudget RB(O.RequestBudgetMs);
-  SliceEngine Engine(*E->Graph, nullptr);
+  SliceEngine Engine(*E->Graph);
   QueryOptions QO;
-  QO.Jobs = 1;
   QO.Budget = RB.B;
   QO.Summaries = E->ContextSensitive ? &E->S->summaries() : nullptr;
   std::vector<SliceResult> Results = Engine.run(Q, QO);

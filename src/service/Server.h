@@ -25,8 +25,8 @@
 ///    overload degrades into client backoff, never into unbounded
 ///    memory growth.
 ///  - Per-request deadlines: a --request-budget-ms daemon option arms
-///    a per-request AnalysisBudget whose gates (BudgetGate /
-///    SharedBudgetGate in the batch engine) degrade the slice soundly;
+///    a per-request AnalysisBudget whose gates (one run-wide BudgetGate
+///    in the slice engine) degrade the slice soundly;
 ///    the response frame carries the exit-code-style status (3) and
 ///    the reason, exactly like the one-shot CLI.
 ///  - Graceful drain: SIGTERM (via requestShutdown(), which is

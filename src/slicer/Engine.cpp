@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <thread>
 
 using namespace tsl;
 
@@ -51,7 +50,7 @@ std::vector<unsigned> nodesOf(const SDG &G, const Instr *I) {
 template <bool Forward>
 void sweepChunk(const SDG &G, const SccCondensation &C,
                 const EdgeKindRuns &Runs, std::vector<uint64_t> &Label,
-                std::vector<BitSet> &Out, SharedBudgetGate &Gate) {
+                std::vector<BitSet> &Out, BudgetGate &Gate) {
   const std::vector<unsigned> &MemberOff = C.MemberOff;
   const std::vector<unsigned> &Members = C.Members;
   for (unsigned Step = 0; Step != C.NumComps; ++Step) {
@@ -86,7 +85,7 @@ void sweepChunk(const SDG &G, const SccCondensation &C,
   }
 }
 
-/// The per-traversal pop gate of one inline traversal.
+/// A "slice.pop" gate capped at \p B's MaxSlicePops.
 BudgetGate localGate(const AnalysisBudget *B) {
   return BudgetGate(B, "slice.pop", B ? B->MaxSlicePops : 0);
 }
@@ -180,8 +179,7 @@ SliceResult tsl::reachNodes(const SDG &G,
 // SliceEngine
 //===----------------------------------------------------------------------===//
 
-SliceEngine::SliceEngine(const SDG &G, ThreadPool *Pool)
-    : G(G), Pool(Pool ? Pool : &OwnPool) {
+SliceEngine::SliceEngine(const SDG &G, std::nullptr_t) : G(G) {
   G.ensureFinalized();
 }
 
@@ -190,7 +188,6 @@ SliceEngine::~SliceEngine() = default;
 std::shared_ptr<const SccCondensation>
 SliceEngine::condensationFor(EdgeKindMask Mask) {
   const std::pair<uint64_t, EdgeKindMask> Key{G.epoch(), Mask};
-  std::lock_guard<std::mutex> L(CondMu);
   auto It = CondCache.find(Key);
   if (It != CondCache.end()) {
     Stats.CondensationReused = true;
@@ -237,12 +234,8 @@ std::vector<SliceResult> SliceEngine::run(const SliceQuery &Q,
   }
   Stats.UniqueQueries = static_cast<unsigned>(Unique.size());
 
-  // Everything that reaches process globals happens here, before
-  // workers exist: the run-wide gate, the condensation cache, the
-  // chop's sink traversal, and (context-sensitive mode) the summary
-  // computation.
-  SharedBudgetGate Gate(Opts.Budget, "slice.pop",
-                        Opts.Budget ? Opts.Budget->MaxSlicePops : 0);
+  // The run-wide gate every sweep chunk and tabulation shares.
+  BudgetGate Gate = localGate(Opts.Budget);
   std::vector<std::optional<SliceResult>> UniqueResults(Unique.size());
   const SliceDirection Traverse = Q.Direction == SliceDirection::Backward
                                       ? SliceDirection::Backward
@@ -256,10 +249,10 @@ std::vector<SliceResult> SliceEngine::run(const SliceQuery &Q,
   // Crash isolation: nothing in this run throws across the engine
   // boundary. A query (or the shared setup) that dies — an injected
   // Throw fault, an internal error — cancels the gate with
-  // "exception:<what>", so sibling queries stop burning work for a run
-  // that already failed, and every query left without an answer comes
-  // back as an *empty degraded* result carrying the gate's reason. An
-  // unanswerable query fails the same way, before any work.
+  // "exception:<what>", so the queries after it stop at once, and
+  // every query left without an answer comes back as an *empty
+  // degraded* result carrying the gate's reason. An unanswerable
+  // query fails the same way, before any work.
   std::optional<TabulationSlicer> Tab;
   std::shared_ptr<const SccCondensation> Cond;
   std::optional<SliceResult> ToSink;
@@ -296,15 +289,6 @@ std::vector<SliceResult> SliceEngine::run(const SliceQuery &Q,
                                : Sweep ? NumChunks
                                        : Unique.size();
 
-  // Expansions build their round gate inline, on the calling thread.
-  unsigned Workers =
-      Q.AliasDepth ? 1
-      : Opts.Jobs  ? Opts.Jobs
-                   : std::thread::hardware_concurrency();
-  Workers = static_cast<unsigned>(
-      std::clamp<std::size_t>(NumItems, 1, std::max(Workers, 1u)));
-  Stats.Workers = Workers;
-
   // Sweep chunk: plant each lane's seed nodes, sweep the components
   // in the query's direction, then emit per-lane node sets.
   auto RunChunk = [&](unsigned Chunk) {
@@ -340,9 +324,7 @@ std::vector<SliceResult> SliceEngine::run(const SliceQuery &Q,
         UniqueResults[Item].emplace(Tab->slice(
             std::vector<const Instr *>{Unique[Item].Seed}, &Gate));
       else {
-        // Traversals run on the calling thread (one seed, or an
-        // expansion): a local gate keeps the per-pop poll free of
-        // atomics.
+        // A traversal (one seed, or an expansion) polls its own gate.
         BudgetGate Local = localGate(Opts.Budget);
         UniqueResults[Item].emplace(
             Q.AliasDepth ? expand(G, Unique[Item].Nodes, Q.AliasDepth,
@@ -355,13 +337,10 @@ std::vector<SliceResult> SliceEngine::run(const SliceQuery &Q,
     }
   };
 
-  // A single-worker run is the pool's inline loop: no worker starts.
-  // The gate is deliberately not handed to parallelFor: every item
-  // must produce a SliceResult (degraded once the gate trips), so
-  // cancellation happens inside RunItem, never by skipping items.
-  Pool->parallelFor(
-      NumItems, [&](std::size_t I) { RunItem(static_cast<unsigned>(I)); },
-      Workers);
+  // Every item runs, even after the gate trips: each must produce a
+  // SliceResult (degraded once the gate is exhausted).
+  for (unsigned Item = 0; Item != NumItems; ++Item)
+    RunItem(Item);
 
   for (std::optional<SliceResult> &R : UniqueResults) {
     if (!R) {

@@ -19,20 +19,15 @@
 /// unique seed, sharing summaries through a SummaryCache. DESIGN.md
 /// section 9 has the algorithms.
 ///
-/// Threading model: the finalized SDG is immutable and read
-/// concurrently without locking. Everything that touches process
-/// globals (TabulationSlicer construction, budget-gate construction —
-/// both reach the FaultInjector) and the condensation cache happens on
-/// the calling thread before workers start. Workers share one
-/// SharedBudgetGate, so an AnalysisBudget passed to a run governs the
-/// sweeps' and tabulations' *total* slicing work; the breadth-first
-/// traversals (one seed, each expansion seed, a chop's sink) run
-/// inline, each against its own BudgetGate.
-///
-/// Work items fan out on one ThreadPool (see support/ThreadPool.h):
-/// the owner's (the session passes its own) or an engine-owned one.
-/// A single-worker run stays inline on the calling thread and starts
-/// no worker.
+/// A run is one sequential loop over its work items (64-query chunks
+/// when sweeping, unique seeds otherwise) on the calling thread. The
+/// items share one BudgetGate, so an AnalysisBudget passed to a run
+/// governs the sweeps' and tabulations' *total* slicing work; the
+/// breadth-first traversals (one seed, each expansion seed, a chop's
+/// sink) each poll their own gate. An engine is confined to one
+/// thread; the finalized SDG it reads is immutable, so engines on
+/// different threads may share one graph (the daemon's request-local
+/// engines do).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,23 +36,21 @@
 
 #include "slicer/Slicer.h"
 #include "slicer/Tabulation.h"
-#include "support/ThreadPool.h"
 
+#include <cstddef>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 namespace tsl {
 
 /// How a query runs (SliceQuery says what it asks).
 struct QueryOptions {
-  /// Lanes, the calling thread included; 0 means
-  /// std::thread::hardware_concurrency(). Clamped to the number of
-  /// work items; 1 runs inline and starts no worker.
+  /// Ignored: every run is sequential on the calling thread. Kept so
+  /// that callers written for the former slice pool still compile.
   unsigned Jobs = 0;
   /// Optional run-wide budget (MaxSlicePops caps the *total* pops
-  /// across all seeds of the run; see SharedBudgetGate).
+  /// across all seeds of the run).
   const AnalysisBudget *Budget = nullptr;
   /// Optional cross-run summary cache for context-sensitive queries.
   SummaryCache *Summaries = nullptr;
@@ -76,7 +69,6 @@ struct BatchOptions : QueryOptions {
 struct BatchStats {
   unsigned Queries = 0;       ///< Seeds requested.
   unsigned UniqueQueries = 0; ///< Distinct seed node sets actually run.
-  unsigned Workers = 0;       ///< Lanes asked of the pool (1 = inline).
   bool SummariesReused = false; ///< CS summary set came from the cache.
   bool CondensationReused = false; ///< CI condensation came from the cache.
 };
@@ -90,13 +82,10 @@ struct SccCondensation;
 /// most recent run; the condensation cache carries over).
 class SliceEngine {
 public:
-  /// Runs fan out on \p Pool (not owned; it must outlive the engine),
-  /// or on an engine-owned pool when it is null.
-  explicit SliceEngine(const SDG &G, ThreadPool *Pool = nullptr);
+  /// The second parameter is ignored: it is where the former slice
+  /// pool was passed, kept so that `SliceEngine(G, nullptr)` compiles.
+  explicit SliceEngine(const SDG &G, std::nullptr_t = nullptr);
   ~SliceEngine();
-
-  /// The pool runs fan out on.
-  const ThreadPool &pool() const { return *Pool; }
 
   /// Answers \p Q: one SliceResult per seed, in seed order. Never
   /// throws: a query that cannot be answered (see
@@ -118,10 +107,7 @@ private:
   std::shared_ptr<const SccCondensation> condensationFor(EdgeKindMask Mask);
 
   const SDG &G;
-  ThreadPool OwnPool;
-  ThreadPool *Pool;
   BatchStats Stats;
-  std::mutex CondMu;
   std::map<std::pair<uint64_t, EdgeKindMask>,
            std::shared_ptr<const SccCondensation>>
       CondCache;

@@ -73,8 +73,7 @@ struct SourceLine {
 /// statement and line views are computed once on first use and cached
 /// (mutation through unionWith invalidates them), so repeated
 /// rendering/counting of one result is free. Not safe for concurrent
-/// first-use from multiple threads; the batch engine hands each result
-/// to exactly one worker.
+/// first-use from multiple threads.
 class SliceResult {
 public:
   SliceResult(const SDG *G, BitSet Nodes)

@@ -575,11 +575,10 @@ SliceResult TabulationSlicer::slice(const Instr *Seed) const {
 }
 
 SliceResult TabulationSlicer::slice(const std::vector<const Instr *> &Seeds,
-                                    SharedBudgetGate *Shared) const {
+                                    BudgetGate *Gate) const {
   std::optional<BudgetGate> Local;
-  if (!Shared)
-    Local.emplace(B, "slice.pop", B ? B->MaxSlicePops : 0);
-  auto Spend = [&]() { return Shared ? Shared->spend() : Local->spend(); };
+  if (!Gate)
+    Gate = &Local.emplace(B, "slice.pop", B ? B->MaxSlicePops : 0);
 
   const EdgeKindMask Intra = intraMask(Mode);
   const EdgeKindRuns Ascend =
@@ -607,7 +606,7 @@ SliceResult TabulationSlicer::slice(const std::vector<const Instr *> &Seeds,
     for (unsigned Node : G.nodesFor(Seed))
       Enqueue(Node);
   while (Head != Queue.size()) {
-    if (Spend())
+    if (Gate->spend())
       break;
     unsigned Node = Queue[Head++];
     Phase1.insert(Node);
@@ -621,7 +620,7 @@ SliceResult TabulationSlicer::slice(const std::vector<const Instr *> &Seeds,
   Head = 0;
   Phase1.forEach([&](unsigned Node) { Queue.push_back(Node); });
   while (Head != Queue.size()) {
-    if (Spend())
+    if (Gate->spend())
       break;
     unsigned Node = Queue[Head++];
     G.forEachInNeighbor(Node, Descend, Enqueue);
@@ -631,7 +630,7 @@ SliceResult TabulationSlicer::slice(const std::vector<const Instr *> &Seeds,
   SliceResult R(&G, std::move(Visited));
   if (S->Partial)
     R.markDegraded(S->PartialReason);
-  if (Shared ? Shared->exhausted() : Local->exhausted())
-    R.markDegraded(Shared ? Shared->reason() : Local->reason());
+  if (Gate->exhausted())
+    R.markDegraded(Gate->reason());
   return R;
 }

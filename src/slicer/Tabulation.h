@@ -95,8 +95,7 @@ private:
 /// or is reused from a SummaryCache hit — mirroring the paper's
 /// observation that the heap-parameter SDG (not the traversal) is the
 /// scalability bottleneck. A constructed slicer is immutable; slice()
-/// is const and safe to call from multiple threads concurrently (each
-/// call charging a SharedBudgetGate instead of a local gate).
+/// is const.
 class TabulationSlicer {
 public:
   /// Computes summary edges eagerly, consulting \p Cache first when
@@ -111,11 +110,10 @@ public:
   /// Two-phase backward slice from \p Seed.
   SliceResult slice(const Instr *Seed) const;
 
-  /// Two-phase backward slice from \p Seeds. With \p Shared set (the
-  /// worker-thread variant) it polls that run-wide gate and constructs
-  /// no local BudgetGate (see SliceEngine).
+  /// Two-phase backward slice from \p Seeds. With \p Gate set it
+  /// polls that run-wide gate (see SliceEngine) instead of its own.
   SliceResult slice(const std::vector<const Instr *> &Seeds,
-                    SharedBudgetGate *Shared = nullptr) const;
+                    BudgetGate *Gate = nullptr) const;
 
   /// Number of summary edges discovered (a cost statistic).
   unsigned numSummaryEdges() const { return S->NumSummaries; }

@@ -9,26 +9,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <sstream>
-#include <thread>
 
 using namespace tsl;
-
-AnalysisBudget &AnalysisBudget::operator=(const AnalysisBudget &O) {
-  if (this == &O)
-    return *this;
-  BudgetMs = O.BudgetMs;
-  MaxPtaPropagations = O.MaxPtaPropagations;
-  MaxModRefSteps = O.MaxModRefSteps;
-  MaxSdgNodes = O.MaxSdgNodes;
-  MaxSdgEdges = O.MaxSdgEdges;
-  MaxSlicePops = O.MaxSlicePops;
-  MaxExpansionRounds = O.MaxExpansionRounds;
-  MaxInterpSteps = O.MaxInterpSteps;
-  Start = O.Start;
-  Started = O.Started;
-  CancelFlag.store(O.cancelled(), std::memory_order_release);
-  return *this;
-}
 
 bool AnalysisBudget::deadlineExpired() const {
   if (!BudgetMs || !Started)
@@ -113,23 +95,19 @@ void FaultInjector::reset() {
   Armed.clear();
   Reached.clear();
   Fired.clear();
-  FireCount = 0;
+  ++Generation;
+}
+
+uint64_t FaultInjector::generation() const {
+  std::lock_guard<std::mutex> L(Mu);
+  return Generation;
 }
 
 void FaultInjector::arm(const std::string &Point, uint64_t AtPoll,
                         FaultKind Kind, bool Transient) {
   std::lock_guard<std::mutex> L(Mu);
   Armed[Point] = {AtPoll ? AtPoll : 1, Kind, Transient};
-}
-
-void FaultInjector::setStallCapMs(uint64_t Ms) {
-  std::lock_guard<std::mutex> L(Mu);
-  StallCapMs = Ms ? Ms : 1;
-}
-
-uint64_t FaultInjector::stallCapMs() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return StallCapMs;
+  ++Generation;
 }
 
 namespace {
@@ -153,10 +131,11 @@ void FaultInjector::armRandomSchedule(uint64_t Seed) {
       continue;
     uint64_t AtPoll = 1 + (splitmix64(State) % 40);
     uint64_t K = splitmix64(State) % 100;
-    // Degrade-heavy mix: crashes and stalls are the rarer real events.
-    FaultKind Kind = K < 50   ? FaultKind::Degrade
-                     : K < 85 ? FaultKind::Throw
-                              : FaultKind::Stall;
+    // Degrade-heavy mix: crashes are the rarer real events. The four
+    // draws per armed point fix which points and polls a seed arms;
+    // the kind only splits K.
+    FaultKind Kind =
+        K >= 50 && K < 85 ? FaultKind::Throw : FaultKind::Degrade;
     bool Transient = (splitmix64(State) & 1) != 0;
     arm(Point, AtPoll, Kind, Transient);
   }
@@ -185,7 +164,7 @@ bool FaultInjector::armFromSpec(const std::string &Spec) {
     Pos = Comma + 1;
     if (Item.empty())
       continue;
-    // point[:N][:throw|:stall][:once] — suffixes in any order.
+    // point[:N][:throw][:once] — suffixes in any order.
     uint64_t AtPoll = 1;
     FaultKind Kind = FaultKind::Degrade;
     bool Transient = false;
@@ -196,8 +175,6 @@ bool FaultInjector::armFromSpec(const std::string &Spec) {
       std::string Suffix = Item.substr(Colon + 1);
       if (Suffix == "throw")
         Kind = FaultKind::Throw;
-      else if (Suffix == "stall")
-        Kind = FaultKind::Stall;
       else if (Suffix == "once")
         Transient = true;
       else if (!Suffix.empty() &&
@@ -227,15 +204,9 @@ FaultInjector::ArmedFault FaultInjector::query(const std::string &Point) {
 void FaultInjector::recordFired(const std::string &Point) {
   std::lock_guard<std::mutex> L(Mu);
   Fired.insert(Point);
-  ++FireCount;
   auto It = Armed.find(Point);
   if (It != Armed.end() && It->second.Transient)
     Armed.erase(It);
-}
-
-uint64_t FaultInjector::firedCount() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return FireCount;
 }
 
 std::set<std::string> FaultInjector::reached() const {
@@ -257,84 +228,12 @@ bool FaultInjector::anyArmed() const {
 // Gates: armed-fault firing
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// A Stall fault's wait loop: no progress until the watchdog cancels
-/// the budget (or the bounded cap expires, so un-governed tests cannot
-/// hang). Returns true when rescued by cancellation.
-bool stallUntilCancelled(const AnalysisBudget *B) {
-  const uint64_t CapMs = FaultInjector::instance().stallCapMs();
-  auto Deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(CapMs);
-  while (std::chrono::steady_clock::now() < Deadline) {
-    if (B && B->cancelled())
-      return true;
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  return B && B->cancelled();
-}
-
-} // namespace
-
 void BudgetGate::fire() {
   FaultInjector::instance().recordFired(Point);
-  switch (Fault.Kind) {
-  case FaultKind::Degrade:
-    trip(std::string("fault:") + Point);
-    break;
-  case FaultKind::Throw:
+  trip(std::string("fault:") + Point);
+  if (Fault.Kind == FaultKind::Throw) {
     // Disarm locally so a catch-and-repoll caller is not re-thrown at.
     Fault.AtPoll = 0;
-    Exhausted = true;
-    Reason = std::string("fault:") + Point;
     throw FaultInjectedError(Point);
-  case FaultKind::Stall:
-    trip(stallUntilCancelled(B) ? "watchdog"
-                                : std::string("fault:") + Point);
-    break;
   }
-}
-
-void SharedBudgetGate::fire() {
-  // First crossing wins: record + decide under the mutex, so exactly
-  // one worker throws while the rest see the gate tripped.
-  bool IThrow = false;
-  {
-    std::lock_guard<std::mutex> L(Mu);
-    if (Tripped.load(std::memory_order_relaxed))
-      return;
-    FaultInjector::instance().recordFired(Point);
-    Reason = std::string("fault:") + Point;
-    if (Fault.Kind == FaultKind::Throw)
-      IThrow = true;
-    if (Fault.Kind != FaultKind::Stall)
-      Tripped.store(true, std::memory_order_release);
-  }
-  switch (Fault.Kind) {
-  case FaultKind::Degrade:
-    break;
-  case FaultKind::Throw:
-    if (IThrow)
-      throw FaultInjectedError(Point);
-    break;
-  case FaultKind::Stall: {
-    bool Rescued = stallUntilCancelled(B);
-    std::lock_guard<std::mutex> L(Mu);
-    if (!Tripped.load(std::memory_order_relaxed)) {
-      Reason = Rescued ? "watchdog" : std::string("fault:") + Point;
-      Tripped.store(true, std::memory_order_release);
-    }
-    break;
-  }
-  }
-}
-
-void SharedBudgetGate::trip(std::string Why, bool RecordFault) {
-  std::lock_guard<std::mutex> L(Mu);
-  if (Tripped.load(std::memory_order_relaxed))
-    return; // First tripper wins; the reason stays stable.
-  Reason = std::move(Why);
-  if (RecordFault)
-    FaultInjector::instance().recordFired(Point);
-  Tripped.store(true, std::memory_order_release);
 }

@@ -14,32 +14,29 @@
 /// of hanging or exhausting memory. See DESIGN.md section 8 for the
 /// per-stage fallbacks and their soundness arguments.
 ///
-/// On top of the cooperative polling sits *preemptive* cancellation:
-/// AnalysisBudget carries an atomic cancel flag a Watchdog (see
-/// support/Watchdog.h) sets when the wall-clock deadline passes. Every
-/// gate poll and every ThreadPool index boundary observes the flag, so
-/// a stage that miscounts its steps — or stalls without reading the
-/// clock — is still stopped at its next poll or index edge and degrades
-/// through the same sound-fallback path, tagged "watchdog".
+/// There is no preemption: every gated stage runs on the calling
+/// thread and stops at its own next poll. The deadline is read every
+/// 64 polls, so a stage overruns its wall-clock budget by at most 64
+/// units of work.
 ///
 /// A deterministic FaultInjector rides along: named fault points
 /// (one per gated loop) can be armed via TSL_FAULT or `thinslice
 /// --fault` to force each failure branch in tests, rather than
 /// hoping a workload happens to exhaust a real budget. Faults come in
-/// three kinds — Degrade (the gate trips, forcing the stage's sound
-/// fallback), Throw (the gate raises FaultInjectedError, simulating a
-/// stage crash the session must isolate and retry), and Stall (the
-/// gate stops making progress, simulating a stuck stage the watchdog
-/// must rescue) — can be transient (disarm after firing once, so a
-/// retry succeeds), and can be armed wholesale from a seeded
+/// two kinds — Degrade (the gate trips, forcing the stage's sound
+/// fallback) and Throw (the gate raises FaultInjectedError, simulating
+/// a stage crash the session must isolate) — can be transient (disarm
+/// after firing once), and can be armed wholesale from a seeded
 /// probabilistic schedule ("rand:<seed>") replayed by the chaos suite.
+/// The injector keeps a generation counter that every arming or reset
+/// bumps; a session drops what it computed under an older arming (see
+/// pipeline/Session.h).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef THINSLICER_SUPPORT_BUDGET_H
 #define THINSLICER_SUPPORT_BUDGET_H
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -67,36 +64,18 @@ struct AnalysisBudget {
   uint64_t MaxExpansionRounds = 0; ///< Thin-expansion fixpoint rounds.
   uint64_t MaxInterpSteps = 0;     ///< Interpreter step cap.
 
-  AnalysisBudget() = default;
-  /// Copies carry the limits and the current cancel state (the flag
-  /// is atomic, which deletes the defaulted copy operations).
-  AnalysisBudget(const AnalysisBudget &O) { *this = O; }
-  AnalysisBudget &operator=(const AnalysisBudget &O);
-
   /// Starts the wall clock. Until this is called the deadline never
-  /// expires; step caps apply regardless. Also clears a previous
-  /// watchdog cancellation, so one budget can govern several runs.
+  /// expires; step caps apply regardless.
   void start() {
     Start = std::chrono::steady_clock::now();
     Started = true;
-    CancelFlag.store(false, std::memory_order_release);
   }
 
   bool deadlineExpired() const;
   double elapsedSeconds() const;
 
-  /// Preemptive cancellation (the watchdog path): sets a flag every
-  /// gate poll and every pool task boundary observes. Safe from any
-  /// thread; const because cancellation is an observer-side signal,
-  /// not a change to the limits.
-  void cancel() const { CancelFlag.store(true, std::memory_order_release); }
-  bool cancelled() const {
-    return CancelFlag.load(std::memory_order_relaxed);
-  }
-
   std::chrono::steady_clock::time_point Start{};
   bool Started = false;
-  mutable std::atomic<bool> CancelFlag{false};
 };
 
 /// Outcome of one pipeline stage.
@@ -111,7 +90,7 @@ struct StageReport {
   std::string Stage;    ///< "pta", "modref", "sdg", "slice", "interp".
   StageStatus Status = StageStatus::Complete;
   std::string Reason;   ///< Why it degraded: "deadline", "step-cap",
-                        ///< "watchdog", "fault:<p>", "exception:<what>".
+                        ///< "fault:<p>", "exception:<what>".
   std::string Fallback; ///< The sound fallback the stage switched to.
   uint64_t StepsUsed = 0; ///< Work units consumed (stage-specific).
   double Seconds = 0;     ///< Wall time spent in the stage.
@@ -158,7 +137,6 @@ private:
 enum class FaultKind : unsigned char {
   Degrade, ///< Gate trips -> the stage takes its sound-fallback path.
   Throw,   ///< Gate raises FaultInjectedError -> stage "crashes".
-  Stall,   ///< Gate stops progressing -> the watchdog must rescue.
 };
 
 /// Deterministic fault injection: each BudgetGate names a fault
@@ -166,13 +144,13 @@ enum class FaultKind : unsigned char {
 /// gate report exhaustion at a chosen poll, forcing the stage down
 /// its degradation path. A spec is a comma-separated list of points,
 /// each optionally suffixed `:N` (fire at the Nth poll, default 1),
-/// `:throw` / `:stall` (fault kind), and/or `:once` (transient:
-/// disarm after firing, so a retry succeeds); the word `all` arms
-/// every point; `rand:<seed>` arms a seeded probabilistic schedule
-/// over all points (the chaos-suite format — identical seed, identical
-/// schedule, on every platform). All members are guarded by one
-/// mutex: gates are constructed on stage-calling threads while
-/// workers of another stage may be recording fired points.
+/// `:throw` (fault kind), and/or `:once` (transient: disarm after
+/// firing, so the next request runs clean); the word `all` arms every
+/// point; `rand:<seed>` arms a seeded probabilistic schedule over all
+/// points (the chaos-suite format — identical seed, identical
+/// schedule, on every platform). The injector is process-wide and the
+/// daemon's connection threads share it, so all members are guarded
+/// by one mutex.
 class FaultInjector {
 public:
   static FaultInjector &instance();
@@ -191,13 +169,18 @@ public:
   /// Disarms all points and clears coverage counters.
   void reset();
 
+  /// Bumped by every arm(), armFromSpec() and reset() — never by a
+  /// transient fault disarming itself. A session that computed under
+  /// an armed fault compares it to decide when to drop that work.
+  uint64_t generation() const;
+
   /// Arms \p Point to fire at poll number \p AtPoll (1 = first poll)
   /// with kind \p Kind; \p Transient disarms the point when it fires.
   void arm(const std::string &Point, uint64_t AtPoll = 1,
            FaultKind Kind = FaultKind::Degrade, bool Transient = false);
 
   /// Parses and arms a spec: "slice.pop,pta.solve:100",
-  /// "pta.solve:throw:once", "sdg.clones:stall", "all", or
+  /// "pta.solve:throw:once", "all", or
   /// "rand:<seed>". Returns false (arming nothing further) on an
   /// unknown point name or malformed suffix.
   bool armFromSpec(const std::string &Spec);
@@ -208,12 +191,6 @@ public:
   /// suite replays thousands of these.
   void armRandomSchedule(uint64_t Seed);
 
-  /// Stall faults busy-wait (checking the budget's cancel flag) for at
-  /// most this long before giving up and tripping; tests shrink it so
-  /// un-rescued stalls stay fast. Default 100.
-  void setStallCapMs(uint64_t Ms);
-  uint64_t stallCapMs() const;
-
   /// Called once per BudgetGate at construction: records that the
   /// point was reached and returns the armed fault (AtPoll 0 = not
   /// armed).
@@ -221,15 +198,11 @@ public:
 
   /// Called by the gate when an armed point actually fires. Transient
   /// faults are disarmed here — the next gate on this point runs
-  /// clean, which is what the session's bounded retry relies on.
+  /// clean.
   void recordFired(const std::string &Point);
 
   std::set<std::string> reached() const;
   std::set<std::string> fired() const;
-  /// Total number of fault firings, monotonically increasing — unlike
-  /// fired(), it grows when the SAME point fires again, which is what
-  /// the session's taint detection samples around each stage compute.
-  uint64_t firedCount() const;
   bool anyArmed() const;
 
 private:
@@ -245,17 +218,18 @@ private:
   std::map<std::string, Arming> Armed;
   std::set<std::string> Reached;
   std::set<std::string> Fired;
-  uint64_t FireCount = 0;
-  uint64_t StallCapMs = 100;
+  uint64_t Generation = 0;
 };
 
 /// Poll point of one gated loop. The loop calls spend()/poll() with
 /// its work counter; once the gate trips — step cap exceeded,
-/// deadline expired, watchdog cancellation observed, or armed fault
-/// fired — it stays exhausted and the stage must stop and degrade.
-/// With a null budget and no armed fault a poll is a few arithmetic
-/// instructions. A Throw-kind fault makes poll() raise
-/// FaultInjectedError instead of returning.
+/// deadline expired, armed fault fired, or cancel() called — it stays
+/// exhausted and the stage must stop and degrade. With a null budget
+/// and no armed fault a poll is a few arithmetic instructions. A
+/// Throw-kind fault makes poll() raise FaultInjectedError instead of
+/// returning. One gate may be shared by the sequential items of a
+/// run, so its step cap governs the run's total work (the slice
+/// engine's MaxSlicePops).
 class BudgetGate {
 public:
   /// \p StepCap is this stage's cap from the budget (0 = uncapped);
@@ -276,8 +250,6 @@ public:
       fire();
     } else if (StepCap && StepsUsed > StepCap) {
       trip("step-cap");
-    } else if (B && B->cancelled()) {
-      trip("watchdog");
     } else if (B && B->BudgetMs && (Polls & DeadlinePollMask) == 0 &&
                B->deadlineExpired()) {
       trip("deadline");
@@ -289,12 +261,21 @@ public:
   /// steps and polls.
   bool spend(uint64_t N = 1) { return poll(Used + N); }
 
+  /// Trips the gate from outside the loop with \p Why; a gate that
+  /// already tripped keeps its first reason. The slice engine cancels
+  /// its run-wide gate when one item throws, so the items after it
+  /// come back degraded with that reason.
+  void cancel(std::string Why) {
+    if (!Exhausted)
+      trip(std::move(Why));
+  }
+
   bool exhausted() const { return Exhausted; }
   const std::string &reason() const { return Reason; }
   uint64_t used() const { return Used; }
 
 private:
-  void fire(); ///< The armed fault fires: degrade, throw, or stall.
+  void fire(); ///< The armed fault fires: degrade or throw.
   void trip(std::string Why) {
     Exhausted = true;
     Reason = std::move(Why);
@@ -311,87 +292,6 @@ private:
   uint64_t Used = 0;
   uint64_t Polls = 0;
   bool Exhausted = false;
-  std::string Reason;
-};
-
-/// Thread-safe sibling of BudgetGate for worker pools: one gate is
-/// shared by every worker of a batch, so the step cap (and armed
-/// fault) governs the batch's *total* work rather than each query's.
-/// Construction — which registers the fault point with the injector —
-/// must happen before workers start; spend() is safe from any thread
-/// (an atomic add plus occasional deadline reads). For an armed fault
-/// the gate fires once the batch-wide step count reaches the
-/// configured poll number; a Throw-kind fault raises
-/// FaultInjectedError in whichever worker crossed the threshold
-/// (crash isolation in ThreadPool::parallelFor contains it).
-class SharedBudgetGate {
-public:
-  SharedBudgetGate(const AnalysisBudget *Budget, const char *Point,
-                   uint64_t StepCap)
-      : B(Budget), Point(Point), StepCap(StepCap),
-        Fault(FaultInjector::instance().query(Point)) {}
-
-  /// Counts \p N steps against the shared pool; returns true once the
-  /// batch must stop (sticky).
-  bool spend(uint64_t N = 1) {
-    if (Tripped.load(std::memory_order_relaxed))
-      return true;
-    uint64_t U = Used.fetch_add(N, std::memory_order_relaxed) + N;
-    if (Fault.AtPoll && U >= Fault.AtPoll)
-      fire();
-    else if (StepCap && U > StepCap)
-      trip("step-cap", false);
-    else if (B && B->cancelled())
-      trip("watchdog", false);
-    else if (B && B->BudgetMs && (U & DeadlineCheckMask) == 0 &&
-             B->deadlineExpired())
-      trip("deadline", false);
-    return Tripped.load(std::memory_order_relaxed);
-  }
-
-  /// External cancellation: trips the gate with \p Why so every worker
-  /// polling it stops at its next spend. Used by
-  /// ThreadPool::parallelFor when one lane throws (the exception
-  /// cancels the remaining indices) and available to any stage that
-  /// must abandon a batch.
-  void cancel(const std::string &Why) { trip(Why, false); }
-
-  /// Task-boundary check for the pool: true once the batch must stop,
-  /// observing the budget's preemptive cancel flag even when no worker
-  /// has spent since the watchdog set it — this is what stops a batch
-  /// whose tasks never poll.
-  bool stop() {
-    if (Tripped.load(std::memory_order_relaxed))
-      return true;
-    if (B && B->cancelled()) {
-      trip("watchdog", false);
-      return true;
-    }
-    return false;
-  }
-
-  bool exhausted() const { return Tripped.load(std::memory_order_acquire); }
-  std::string reason() const {
-    std::lock_guard<std::mutex> L(Mu);
-    return Reason;
-  }
-  uint64_t used() const { return Used.load(std::memory_order_relaxed); }
-
-private:
-  void fire(); ///< The armed fault fires: degrade, throw, or stall.
-  void trip(std::string Why, bool RecordFault);
-
-  /// The deadline is read every 64 steps so hot loops do not hit the
-  /// clock on every pop.
-  static constexpr uint64_t DeadlineCheckMask = 63;
-
-  const AnalysisBudget *B;
-  const char *Point;
-  uint64_t StepCap;
-  FaultInjector::ArmedFault Fault;
-  std::atomic<uint64_t> Used{0};
-  std::atomic<bool> Tripped{false};
-  mutable std::mutex Mu;
   std::string Reason;
 };
 

@@ -20,8 +20,6 @@ const char *tsl::statusCodeName(StatusCode C) {
     return "verify-error";
   case StatusCode::ResourceExhausted:
     return "resource-exhausted";
-  case StatusCode::Cancelled:
-    return "cancelled";
   case StatusCode::FaultInjected:
     return "fault-injected";
   case StatusCode::Internal:

@@ -10,10 +10,9 @@
 /// a module edge: failures cross boundaries as a Status (code +
 /// message), and fallible producers return Expected<T> — either the
 /// value or the Status explaining its absence. Exceptions remain an
-/// *intra*-stage implementation detail (the ThreadPool propagates a
-/// worker's exception to the stage that owns it); the stage boundary
-/// — AnalysisSession, SliceEngine, the interpreter, the CLI — is
-/// where they are converted. See DESIGN.md section 12 for the policy.
+/// *intra*-stage implementation detail; the stage boundary —
+/// AnalysisSession, SliceEngine, the interpreter, the CLI — is where
+/// they are converted. See DESIGN.md section 12 for the policy.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,9 +25,9 @@
 
 namespace tsl {
 
-/// Coarse failure taxonomy. The code picks the CLI exit code and the
-/// retry policy (only Internal / FaultInjected stage failures are
-/// retried; user errors like ParseError never are).
+/// Coarse failure taxonomy. The code picks the CLI exit code (a stage
+/// failure — Internal or FaultInjected — exits 5; user errors like
+/// ParseError exit 1).
 enum class StatusCode : unsigned char {
   Ok = 0,
   InvalidArgument,   ///< Caller error: bad seed, bad option value.
@@ -37,7 +36,6 @@ enum class StatusCode : unsigned char {
   SemaError,         ///< Source has semantic errors.
   VerifyError,       ///< Lowered IR failed the verifier gate.
   ResourceExhausted, ///< Budget/deadline refusal (not sound degradation).
-  Cancelled,         ///< Watchdog or caller cancelled the computation.
   FaultInjected,     ///< An armed chaos fault crashed the stage.
   Internal,          ///< Unexpected exception escaping a stage.
 };

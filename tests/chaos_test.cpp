@@ -5,19 +5,20 @@
 // the interpreter, and thin expansion, asserting the fail-safe
 // contract end to end:
 //
-//   - no crash: no injected Throw/Stall/Degrade fault, at any poll of
-//     any stage, under any thread count, escapes a boundary;
+//   - no crash: no injected Throw/Degrade fault, at any poll of any
+//     stage, escapes a boundary;
 //   - complete-or-soundly-degraded: every produced result is either
 //     complete or carries a degradation reason, and a stage that
-//     crashed past its retries yields a structured Status (nothing is
-//     cached) rather than a partial artifact;
+//     crashed yields a structured Status (nothing is cached) rather
+//     than a partial artifact;
 //   - healing: after the fault schedule is disarmed, a query on the
 //     SAME session is byte-identical to a fault-free session's answer
-//     (tainted artifacts were evicted, failures were never cached).
+//     (work computed under the schedule was purged when the injector's
+//     generation moved, failures were never cached).
 //
 // The suite carries the "chaos" ctest label: the TSL_SANITIZE=address
 // and TSL_SANITIZE=thread trees run it (`ctest -L chaos`) so every
-// schedule is also leak- and race-checked.
+// schedule is also leak-checked.
 //
 //===----------------------------------------------------------------------===//
 
@@ -61,15 +62,12 @@ def main() {
 }
 )";
 
-/// Resets the injector (and restores the stall cap) on entry and
-/// exit, so no test leaks an armed schedule into the next.
+/// Resets the injector on entry and exit, so no test leaks an armed
+/// schedule into the next.
 struct InjectorGuard {
   InjectorGuard() { clean(); }
   ~InjectorGuard() { clean(); }
-  static void clean() {
-    FaultInjector::instance().reset();
-    FaultInjector::instance().setStallCapMs(100);
-  }
+  static void clean() { FaultInjector::instance().reset(); }
 };
 
 /// The last instruction carrying the highest source line — a
@@ -115,7 +113,7 @@ std::string baselineSlice(bool ContextSensitive) {
 
 } // namespace
 
-// 500 schedules x threads {1,4}; odd schedules run the
+// 1000 schedules (seeds 0-999); every other pair of seeds runs the
 // context-sensitive representation so the mod-ref and tabulation
 // fault points are in play too.
 TEST(Chaos, SeededSessionSchedulesCompleteOrDegradeAndHeal) {
@@ -125,60 +123,52 @@ TEST(Chaos, SeededSessionSchedulesCompleteOrDegradeAndHeal) {
 
   FaultInjector &FI = FaultInjector::instance();
   uint64_t Complete = 0, Degraded = 0, Failed = 0;
-  for (unsigned Threads : {1u, 4u}) {
-    for (uint64_t Schedule = 0; Schedule != 500; ++Schedule) {
-      const bool CS = (Schedule & 1) != 0;
-      FI.reset();
-      FI.setStallCapMs(2); // Un-rescued stalls must stay fast.
-      FI.armRandomSchedule(Schedule * 2 + (Threads == 4 ? 1 : 0));
+  for (uint64_t Seed = 0; Seed != 1000; ++Seed) {
+    const bool CS = ((Seed >> 1) & 1) != 0;
+    FI.reset();
+    FI.armRandomSchedule(Seed);
 
-      AnalysisBudget B;
-      B.BudgetMs = 60'000; // Watchdog armed, but only stalls reach it.
-      B.start();
-      AnalysisSession S(Source);
-      S.setThreads(Threads);
-      S.setBudget(&B);
-      if (CS) {
-        SDGOptions SO;
-        SO.ContextSensitive = true;
-        S.setSDGOptions(SO);
-      }
-
-      Program *P = S.program();
-      ASSERT_NE(P, nullptr); // Compilation is ungoverned.
-      const SliceResult *R = S.sliceBackwardCached(lastSeed(*P),
-                                                   SliceMode::Thin);
-      if (!R) {
-        // A stage crashed past its retries: the failure must be
-        // structured, and nothing may have been cached (verified by
-        // the healing check below succeeding from scratch).
-        EXPECT_FALSE(S.lastError().isOk())
-            << "schedule " << Schedule << " threads " << Threads;
-        ++Failed;
-      } else if (!R->complete()) {
-        EXPECT_FALSE(R->degradedReason().empty())
-            << "schedule " << Schedule << " threads " << Threads;
-        ++Degraded;
-      } else {
-        ++Complete;
-      }
-
-      // Disarm and drop governance: the SAME session must now answer
-      // byte-identically to a fault-free session.
-      FI.reset();
-      S.setBudget(nullptr);
-      Program *P2 = S.program();
-      ASSERT_NE(P2, nullptr);
-      const SliceResult *Healed =
-          S.sliceBackwardCached(lastSeed(*P2), SliceMode::Thin);
-      ASSERT_NE(Healed, nullptr)
-          << "schedule " << Schedule << " threads " << Threads << ": "
-          << S.lastError().str();
-      EXPECT_TRUE(Healed->complete())
-          << "schedule " << Schedule << " threads " << Threads;
-      EXPECT_EQ(renderSlice(*Healed, *P2), CS ? BaselineCS : BaselineCI)
-          << "schedule " << Schedule << " threads " << Threads;
+    AnalysisBudget B;
+    B.BudgetMs = 60'000; // A live deadline, far enough that only faults fire.
+    B.start();
+    AnalysisSession S(Source);
+    S.setBudget(&B);
+    if (CS) {
+      SDGOptions SO;
+      SO.ContextSensitive = true;
+      S.setSDGOptions(SO);
     }
+
+    Program *P = S.program();
+    ASSERT_NE(P, nullptr); // Compilation is ungoverned.
+    const SliceResult *R = S.sliceBackwardCached(lastSeed(*P),
+                                                 SliceMode::Thin);
+    if (!R) {
+      // A stage crashed: the failure must be structured, and nothing
+      // may have been cached (verified by the healing check below
+      // succeeding from scratch).
+      EXPECT_FALSE(S.lastError().isOk()) << "seed " << Seed;
+      ++Failed;
+    } else if (!R->complete()) {
+      EXPECT_FALSE(R->degradedReason().empty()) << "seed " << Seed;
+      ++Degraded;
+    } else {
+      ++Complete;
+    }
+
+    // Disarm and drop governance: the SAME session must now answer
+    // byte-identically to a fault-free session.
+    FI.reset();
+    S.setBudget(nullptr);
+    Program *P2 = S.program();
+    ASSERT_NE(P2, nullptr);
+    const SliceResult *Healed =
+        S.sliceBackwardCached(lastSeed(*P2), SliceMode::Thin);
+    ASSERT_NE(Healed, nullptr)
+        << "seed " << Seed << ": " << S.lastError().str();
+    EXPECT_TRUE(Healed->complete()) << "seed " << Seed;
+    EXPECT_EQ(renderSlice(*Healed, *P2), CS ? BaselineCS : BaselineCI)
+        << "seed " << Seed;
   }
   // The schedule generator must actually produce fault activity, or
   // this suite silently tests nothing.
@@ -192,8 +182,9 @@ TEST(Chaos, SeededSessionSchedulesCompleteOrDegradeAndHeal) {
 // schedule knocks out, setSource must not throw, and the post-edit
 // answer on the SAME session — queried after the schedule clears —
 // must be byte-identical to a cold session built from the edited
-// source. A third of the schedules additionally pin a low-poll fault
-// on one of the three update points so each is guaranteed to fire.
+// source. Seeds 0x3000-0x312b, one per run; a third of the schedule
+// pairs additionally pin a low-poll fault on one of the three update
+// points so each is guaranteed to fire.
 TEST(Chaos, SeededMidIncrementalSchedulesMatchColdRebuild) {
   InjectorGuard Guard;
   // The edit rewrites store()'s body through a fresh alias: real
@@ -230,60 +221,52 @@ TEST(Chaos, SeededMidIncrementalSchedulesMatchColdRebuild) {
   const char *UpdatePoints[] = {"pta.update", "modref.update", "sdg.patch"};
   uint64_t UpdateFired[3] = {0, 0, 0};
   uint64_t Fallbacks = 0, CleanApplies = 0;
-  for (unsigned Threads : {1u, 4u}) {
-    for (uint64_t Schedule = 0; Schedule != 150; ++Schedule) {
-      const bool CS = (Schedule & 1) != 0;
-      // Warm the session fault-free: the chaos targets the update,
-      // not the initial build.
-      InjectorGuard::clean();
-      AnalysisSession S(Source);
-      S.setThreads(Threads);
-      S.setIncremental(true);
-      if (CS) {
-        SDGOptions SO;
-        SO.ContextSensitive = true;
-        S.setSDGOptions(SO);
-      }
-      Program *P = S.program();
-      ASSERT_NE(P, nullptr);
-      ASSERT_NE(S.modRef(), nullptr); // put mod-ref on the update path
-      ASSERT_NE(S.sliceBackwardCached(lastSeed(*P), SliceMode::Thin),
-                nullptr);
-
-      FI.reset();
-      FI.setStallCapMs(2);
-      FI.armRandomSchedule(0x3000 + Schedule * 2 + (Threads == 4 ? 1 : 0));
-      if (Schedule % 3 == 0)
-        FI.arm(UpdatePoints[(Schedule / 3) % 3], /*AtPoll=*/1,
-               Schedule % 2 ? FaultKind::Throw : FaultKind::Degrade);
-
-      S.setSource(Edited); // must not throw, whatever fires inside
-      EXPECT_EQ(S.incrementalStats().Attempts, 1u)
-          << "schedule " << Schedule << " threads " << Threads;
-      for (int I = 0; I != 3; ++I)
-        if (FI.fired().count(UpdatePoints[I]))
-          ++UpdateFired[I];
-      if (S.incrementalStats().StageFallbacks ||
-          S.incrementalStats().ColdFallbacks)
-        ++Fallbacks;
-      else
-        ++CleanApplies;
-
-      // Disarm: the same session must now answer byte-identically to
-      // a cold session on the edited source.
-      FI.reset();
-      Program *P2 = S.program();
-      ASSERT_NE(P2, nullptr);
-      const SliceResult *R =
-          S.sliceBackwardCached(lastSeed(*P2), SliceMode::Thin);
-      ASSERT_NE(R, nullptr)
-          << "schedule " << Schedule << " threads " << Threads << ": "
-          << S.lastError().str();
-      EXPECT_TRUE(R->complete())
-          << "schedule " << Schedule << " threads " << Threads;
-      EXPECT_EQ(renderSlice(*R, *P2), CS ? BaselineCS : BaselineCI)
-          << "schedule " << Schedule << " threads " << Threads;
+  for (uint64_t Run = 0; Run != 300; ++Run) {
+    const uint64_t Schedule = Run >> 1;
+    const bool CS = (Schedule & 1) != 0;
+    // Warm the session fault-free: the chaos targets the update, not
+    // the initial build.
+    InjectorGuard::clean();
+    AnalysisSession S(Source);
+    S.setIncremental(true);
+    if (CS) {
+      SDGOptions SO;
+      SO.ContextSensitive = true;
+      S.setSDGOptions(SO);
     }
+    Program *P = S.program();
+    ASSERT_NE(P, nullptr);
+    ASSERT_NE(S.modRef(), nullptr); // put mod-ref on the update path
+    ASSERT_NE(S.sliceBackwardCached(lastSeed(*P), SliceMode::Thin), nullptr);
+
+    FI.reset();
+    FI.armRandomSchedule(0x3000 + Run);
+    if (Schedule % 3 == 0)
+      FI.arm(UpdatePoints[(Schedule / 3) % 3], /*AtPoll=*/1,
+             Schedule % 2 ? FaultKind::Throw : FaultKind::Degrade);
+
+    S.setSource(Edited); // must not throw, whatever fires inside
+    EXPECT_EQ(S.incrementalStats().Attempts, 1u) << "run " << Run;
+    for (int I = 0; I != 3; ++I)
+      if (FI.fired().count(UpdatePoints[I]))
+        ++UpdateFired[I];
+    if (S.incrementalStats().StageFallbacks ||
+        S.incrementalStats().ColdFallbacks)
+      ++Fallbacks;
+    else
+      ++CleanApplies;
+
+    // Disarm: the same session must now answer byte-identically to a
+    // cold session on the edited source.
+    FI.reset();
+    Program *P2 = S.program();
+    ASSERT_NE(P2, nullptr);
+    const SliceResult *R =
+        S.sliceBackwardCached(lastSeed(*P2), SliceMode::Thin);
+    ASSERT_NE(R, nullptr) << "run " << Run << ": " << S.lastError().str();
+    EXPECT_TRUE(R->complete()) << "run " << Run;
+    EXPECT_EQ(renderSlice(*R, *P2), CS ? BaselineCS : BaselineCI)
+        << "run " << Run;
   }
   // Every update point must have been knocked out at least once, and
   // some schedules must have let the fast path run to completion.
@@ -311,7 +294,6 @@ TEST(Chaos, SeededInterpreterSchedulesNeverEscape) {
   uint64_t Crashed = 0, Limited = 0;
   for (uint64_t Schedule = 0; Schedule != 200; ++Schedule) {
     FI.reset();
-    FI.setStallCapMs(2);
     FI.armRandomSchedule(0x1000 + Schedule);
     AnalysisBudget B;
     B.BudgetMs = 60'000;
@@ -369,7 +351,6 @@ TEST(Chaos, SeededExpansionSchedulesCompleteOrDegrade) {
   uint64_t Degraded = 0;
   for (uint64_t Schedule = 0; Schedule != 300; ++Schedule) {
     FI.reset();
-    FI.setStallCapMs(2);
     FI.armRandomSchedule(0x2000 + Schedule);
     // The random schedules spread AtPoll over 1..40, but this small
     // fixture runs only a handful of expansion rounds, so most armed
@@ -423,7 +404,6 @@ TEST(Chaos, SeededSnapshotLoadSchedulesNeverGoStale) {
   uint64_t LoadFired = 0, WarmStarts = 0, Fallbacks = 0;
   for (uint64_t Schedule = 0; Schedule != 200; ++Schedule) {
     FI.reset();
-    FI.setStallCapMs(2);
     FI.armRandomSchedule(0x4000 + Schedule);
     if (Schedule % 3 == 0)
       FI.arm("snapshot.load", /*AtPoll=*/1,
@@ -469,7 +449,6 @@ TEST(Chaos, SchedulesAreDeterministicallyReplayable) {
   for (uint64_t Seed : {7ull, 42ull, 123456789ull}) {
     auto RunOnce = [&](uint64_t S) {
       FI.reset();
-      FI.setStallCapMs(2);
       FI.armRandomSchedule(S);
       AnalysisBudget B;
       B.BudgetMs = 60'000;

@@ -239,16 +239,12 @@ TEST_F(CliTest, ZeroAndTrailingGarbageRejected) {
 TEST_F(CliTest, RemovedSolverAndJobsFlagsAreUsageErrors) {
   for (const char *Flag : {"--pta-naive", "--pta-no-delta",
                            "--pta-no-cycle-elim", "--pta-worklist fifo",
-                           "--jobs 2"}) {
+                           "--jobs 2", "--threads 2"}) {
     int Status = 0;
     std::string Out = run(std::string("--line 15 ") + Flag, &Status);
     EXPECT_EQ(exitCode(Status), 2) << Flag << "\n" << Out;
     EXPECT_NE(Out.find("usage:"), std::string::npos) << Flag << "\n" << Out;
   }
-  int Status = 0;
-  std::string Out = run("--line 15 --threads 2", &Status);
-  EXPECT_EQ(exitCode(Status), 0) << Out;
-  EXPECT_NE(Out.find("thin slice from line 15"), std::string::npos) << Out;
 }
 
 TEST_F(CliTest, TooDeeplyNestedInputExitsOne) {
@@ -332,10 +328,14 @@ TEST_F(CliTest, StrictBudgetRefusesDegradedResult) {
 }
 
 TEST_F(CliTest, UnknownFaultPointIsUsageError) {
-  int Status = 0;
-  std::string Out = run("--line 15 --fault no.such.point", &Status);
-  EXPECT_EQ(exitCode(Status), 2) << Out;
-  EXPECT_NE(Out.find("known points:"), std::string::npos) << Out;
+  // An unknown point, and the removed stall kind, are bad specs.
+  for (const char *Spec : {"no.such.point", "pta.solve:stall"}) {
+    int Status = 0;
+    std::string Out = run(std::string("--line 15 --fault ") + Spec, &Status);
+    EXPECT_EQ(exitCode(Status), 2) << Spec << "\n" << Out;
+    EXPECT_NE(Out.find("bad --fault spec"), std::string::npos) << Out;
+    EXPECT_NE(Out.find("known points:"), std::string::npos) << Out;
+  }
 }
 
 TEST_F(CliTest, RunStepsTerminatesInfiniteLoop) {
@@ -532,27 +532,18 @@ TEST_F(CliTest, InteractiveEditErrorsKeepTheLoopAlive) {
 }
 
 //===----------------------------------------------------------------------===//
-// Failure isolation: stage crashes, bounded retry, and exit code 5
+// Failure isolation: stage crashes and exit code 5
 //===----------------------------------------------------------------------===//
 
 TEST_F(CliTest, PersistentStageCrashExitsFive) {
-  // A fault that throws on every attempt exhausts the bounded retry;
-  // the tool reports WHICH stage failed and exits 5 — distinct from a
-  // compile error (1) and from sound degradation (3/4).
+  // A stage that throws is not retried: the tool reports WHICH stage
+  // failed and exits 5 — distinct from a compile error (1) and from
+  // sound degradation (3/4).
   int Status = 0;
   std::string Out = run("--line 15 --fault pta.solve:1:throw", &Status);
   EXPECT_EQ(exitCode(Status), 5) << Out;
   EXPECT_NE(Out.find("points-to stage failed"), std::string::npos) << Out;
   EXPECT_NE(Out.find("pta.solve"), std::string::npos) << Out;
-}
-
-TEST_F(CliTest, TransientStageCrashIsRetriedInvisibly) {
-  // :once disarms after the first fire; the retry reruns the stage
-  // clean, so the user sees a normal complete run.
-  int Status = 0;
-  std::string Out = run("--line 15 --fault pta.solve:1:throw:once", &Status);
-  EXPECT_EQ(exitCode(Status), 0) << Out;
-  EXPECT_NE(Out.find("thin slice from line 15"), std::string::npos) << Out;
 }
 
 TEST_F(CliTest, InteractiveSurvivesFailingQueries) {
@@ -715,14 +706,14 @@ TEST_F(CliTest, ContradictorySliceKindFlagsAreUsageErrors) {
 
 TEST_F(CliTest, OneShotStatsCountTheSlice) {
   int Status = 0;
-  std::string Out = run("--line 15 --stats --threads 4", &Status);
+  std::string Out = run("--line 15 --stats", &Status);
   EXPECT_EQ(exitCode(Status), 0) << Out;
   EXPECT_NE(Out.find("slice: hits=0 misses=1"), std::string::npos) << Out;
   // The telemetry follows the answer it counts.
   EXPECT_LT(Out.find("thin slice from line 15"), Out.find("slice: hits="))
       << Out;
-  // One seed runs inline: no worker pool is started for it.
-  EXPECT_NE(Out.find("pool_workers=0 tasks=0"), std::string::npos) << Out;
+  // Requests run on the calling thread: there is no pool to report.
+  EXPECT_EQ(Out.find("parallelism:"), std::string::npos) << Out;
 }
 
 TEST_F(CliTest, StatsAreReportedOnErrorExits) {

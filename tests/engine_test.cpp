@@ -2,14 +2,14 @@
 //
 // Differential coverage for SliceEngine, the one query path: every
 // query kind (backward and forward, chops, aliasing levels 0-3 and the
-// fixpoint expansion) in every configuration (1 and 4 workers, one
-// seed and many, context-insensitive and -sensitive, summary cache
-// cold and warm, both slice modes) must produce node-identical results
+// fixpoint expansion) in every configuration (one seed and many,
+// context-insensitive and -sensitive, summary cache cold and warm,
+// both slice modes) must produce node-identical results
 // to the reference slicers — the edge-record traversals and per-node
 // expansion loop in tests/oracle for CI, TabulationSlicer::slice for
 // CS — plus unit coverage of dedup, the condensation cache, epoch
 // invalidation, and batch-wide budget degradation. These tests carry
-// the "engine" ctest label and are the set the TSan tree runs.
+// the "engine" ctest label, which the sanitizer trees run.
 
 #include "eval/Experiments.h"
 #include "eval/Generator.h"
@@ -72,10 +72,9 @@ void expectIdentical(const SliceResult &Got, const SliceResult &Want,
       << What << ": statement lists differ";
 }
 
-std::string tag(const char *Case, SliceMode Mode, unsigned Jobs,
-                std::size_t Seed) {
+std::string tag(const char *Case, SliceMode Mode, std::size_t Seed) {
   return std::string(Case) + (Mode == SliceMode::Thin ? "/thin" : "/trad") +
-         "/jobs" + std::to_string(Jobs) + "/seed" + std::to_string(Seed);
+         "/seed" + std::to_string(Seed);
 }
 
 } // namespace
@@ -85,8 +84,7 @@ std::string tag(const char *Case, SliceMode Mode, unsigned Jobs,
 //===----------------------------------------------------------------------===//
 
 // Every evaluation case's seed, batched per shared program graph, must
-// match the legacy edge-record slicer seed by seed — both modes, both
-// worker counts.
+// match the legacy edge-record slicer seed by seed — both modes.
 TEST(Engine, DifferentialEvalCases) {
   std::map<std::string, Compiled> Programs;
   std::map<std::string, std::vector<const Instr *>> SeedsOf;
@@ -116,15 +114,12 @@ TEST(Engine, DifferentialEvalCases) {
       std::vector<SliceResult> Ref;
       for (const Instr *Seed : Seeds)
         Ref.push_back(sliceBackwardLegacy(*C.CI, Seed, Mode));
-      for (unsigned Jobs : {1u, 4u}) {
-        BatchOptions Opts;
-        Opts.Mode = Mode;
-        Opts.Jobs = Jobs;
-        std::vector<SliceResult> Got = Engine.sliceBackwardBatch(Seeds, Opts);
-        ASSERT_EQ(Got.size(), Seeds.size());
-        for (std::size_t I = 0; I != Seeds.size(); ++I)
-          expectIdentical(Got[I], Ref[I], tag(Name.c_str(), Mode, Jobs, I));
-      }
+      BatchOptions Opts;
+      Opts.Mode = Mode;
+      std::vector<SliceResult> Got = Engine.sliceBackwardBatch(Seeds, Opts);
+      ASSERT_EQ(Got.size(), Seeds.size());
+      for (std::size_t I = 0; I != Seeds.size(); ++I)
+        expectIdentical(Got[I], Ref[I], tag(Name.c_str(), Mode, I));
     }
   }
 }
@@ -147,16 +142,13 @@ TEST(Engine, DifferentialGeneratedSeedsCI) {
     std::vector<SliceResult> Ref;
     for (const Instr *Seed : Seeds)
       Ref.push_back(sliceBackwardLegacy(*C.CI, Seed, Mode));
-    for (unsigned Jobs : {1u, 4u}) {
-      BatchOptions Opts;
-      Opts.Mode = Mode;
-      Opts.Jobs = Jobs;
-      std::vector<SliceResult> Got = Engine.sliceBackwardBatch(Seeds, Opts);
-      ASSERT_EQ(Got.size(), Seeds.size());
-      EXPECT_EQ(Engine.stats().Queries, 50u);
-      for (std::size_t I = 0; I != Seeds.size(); ++I)
-        expectIdentical(Got[I], Ref[I], tag("generated", Mode, Jobs, I));
-    }
+    BatchOptions Opts;
+    Opts.Mode = Mode;
+    std::vector<SliceResult> Got = Engine.sliceBackwardBatch(Seeds, Opts);
+    ASSERT_EQ(Got.size(), Seeds.size());
+    EXPECT_EQ(Engine.stats().Queries, 50u);
+    for (std::size_t I = 0; I != Seeds.size(); ++I)
+      expectIdentical(Got[I], Ref[I], tag("generated", Mode, I));
   }
 }
 
@@ -179,20 +171,17 @@ TEST(Engine, DifferentialContextSensitive) {
       Want.push_back(Ref.slice(Seed));
     bool First = true; // First batch of this mode misses the cache.
     for (bool Warm : {false, true}) {
-      for (unsigned Jobs : {1u, 4u}) {
-        BatchOptions Opts;
-        Opts.Mode = Mode;
-        Opts.ContextSensitive = true;
-        Opts.Jobs = Jobs;
-        Opts.Summaries = &Cache;
-        std::vector<SliceResult> Got = Engine.sliceBackwardBatch(Seeds, Opts);
-        ASSERT_EQ(Got.size(), Seeds.size());
-        EXPECT_EQ(Engine.stats().SummariesReused, !First);
-        First = false;
-        for (std::size_t I = 0; I != Seeds.size(); ++I)
-          expectIdentical(Got[I], Want[I],
-                          tag(Warm ? "cs-warm" : "cs-cold", Mode, Jobs, I));
-      }
+      BatchOptions Opts;
+      Opts.Mode = Mode;
+      Opts.ContextSensitive = true;
+      Opts.Summaries = &Cache;
+      std::vector<SliceResult> Got = Engine.sliceBackwardBatch(Seeds, Opts);
+      ASSERT_EQ(Got.size(), Seeds.size());
+      EXPECT_EQ(Engine.stats().SummariesReused, !First);
+      First = false;
+      for (std::size_t I = 0; I != Seeds.size(); ++I)
+        expectIdentical(Got[I], Want[I],
+                        tag(Warm ? "cs-warm" : "cs-cold", Mode, I));
     }
   }
   // Both modes' summary sets live in the cache and the warm batches
@@ -233,7 +222,7 @@ def main() {
   for (std::size_t I = 0; I != Seeds.size(); ++I)
     expectIdentical(Got[I],
                     sliceBackwardLegacy(*C.CI, Seeds[I], SliceMode::Thin),
-                    tag("dedup", SliceMode::Thin, 1, I));
+                    tag("dedup", SliceMode::Thin, I));
 }
 
 TEST(Engine, EmptyBatch) {
@@ -325,7 +314,6 @@ def main() {
     SliceResult One = Engine.run(SliceQuery::of(Seed, SliceMode::Thin, Dir))
                           .front();
     EXPECT_FALSE(Engine.stats().CondensationReused);
-    EXPECT_EQ(Engine.stats().Workers, 1u);
     EXPECT_TRUE(One.complete());
   }
   // Duplicates of one seed are still one unique query.
@@ -381,8 +369,8 @@ TEST(Engine, BatchBudgetDegradesSoundly) {
 namespace {
 
 /// Runs every context-insensitive query kind for \p Seeds on \p G — as
-/// one batch at 1 and 4 workers, and seed by seed (the breadth-first
-/// path) — and compares each result with the oracle's.
+/// one batch, and seed by seed (the breadth-first path) — and compares
+/// each result with the oracle's.
 void expectEveryKindMatchesOracle(const SDG &G,
                                   const std::vector<const Instr *> &Seeds,
                                   const std::string &Name) {
@@ -393,17 +381,12 @@ void expectEveryKindMatchesOracle(const SDG &G,
     std::vector<SliceResult> Want;
     for (const Instr *Seed : Q.Seeds)
       Want.push_back(Oracle(Seed));
-    for (unsigned Jobs : {1u, 4u}) {
-      QueryOptions QO;
-      QO.Jobs = Jobs;
-      std::vector<SliceResult> Got = Engine.run(Q, QO);
-      ASSERT_EQ(Got.size(), Want.size());
-      for (std::size_t I = 0; I != Got.size(); ++I) {
-        EXPECT_TRUE(Got[I].complete()) << Got[I].degradedReason();
-        expectIdentical(Got[I], Want[I],
-                        Name + "/" + Kind + "/jobs" + std::to_string(Jobs) +
-                            "/seed" + std::to_string(I));
-      }
+    std::vector<SliceResult> Got = Engine.run(Q);
+    ASSERT_EQ(Got.size(), Want.size());
+    for (std::size_t I = 0; I != Got.size(); ++I) {
+      EXPECT_TRUE(Got[I].complete()) << Got[I].degradedReason();
+      expectIdentical(Got[I], Want[I],
+                      Name + "/" + Kind + "/seed" + std::to_string(I));
     }
     SliceQuery One = Q;
     for (std::size_t I = 0; I != Q.Seeds.size(); ++I) {

@@ -5,9 +5,7 @@
 // incremental mode on answers every query byte-identically to a cold
 // session compiled from the edited source. Each edit script below
 // warms a session, applies its edit, and compares canonical artifact
-// signatures and rendered slices against the cold rebuild — at
-// threads 1 and 4, since the update path must compose with the
-// session's batch pool.
+// signatures and rendered slices against the cold rebuild.
 //
 // Eligible edits (body-only changes, including bodies inside a
 // call-graph SCC) must take the fast path and reuse every untouched
@@ -17,8 +15,8 @@
 //
 // The suite carries the "incremental" ctest label: the
 // TSL_SANITIZE=address and TSL_SANITIZE=thread trees run it alongside
-// engine/pipeline/parallel/chaos, so retract-and-replay and SDG
-// patching are also leak- and race-checked.
+// engine/pipeline/chaos, so retract-and-replay and SDG patching are
+// also leak-checked.
 //
 //===----------------------------------------------------------------------===//
 
@@ -245,19 +243,15 @@ std::string sessionSignature(AnalysisSession &S) {
   return OS.str();
 }
 
-class IncrementalDifferential : public ::testing::TestWithParam<unsigned> {};
-
 } // namespace
 
-TEST_P(IncrementalDifferential, EditScriptsMatchColdRebuild) {
-  const unsigned Threads = GetParam();
+TEST(IncrementalDifferential, EditScriptsMatchColdRebuild) {
   for (const EditScript &Script : editScripts()) {
     AnalysisBudget B;
     B.BudgetMs = 60'000;
     B.start();
 
     AnalysisSession S{std::string(BaseSource)};
-    S.setThreads(Threads);
     S.setIncremental(true);
     if (Script.Budgeted)
       S.setBudget(&B);
@@ -290,7 +284,6 @@ TEST_P(IncrementalDifferential, EditScriptsMatchColdRebuild) {
     const std::string Incremental = sessionSignature(S);
 
     AnalysisSession Cold(Script.Edited);
-    Cold.setThreads(Threads);
     const std::string Reference = sessionSignature(Cold);
 
     EXPECT_EQ(Incremental, Reference) << Script.Name;
@@ -301,10 +294,8 @@ TEST_P(IncrementalDifferential, EditScriptsMatchColdRebuild) {
 // script's edit through one session (cold-eligible and fast-path
 // edits interleaved), checking the differential contract after each
 // step. This is the REPL `edit`/`reload` usage pattern.
-TEST_P(IncrementalDifferential, ChainedEditStreamMatchesColdAtEveryStep) {
-  const unsigned Threads = GetParam();
+TEST(IncrementalDifferential, ChainedEditStreamMatchesColdAtEveryStep) {
   AnalysisSession S{std::string(BaseSource)};
-  S.setThreads(Threads);
   S.setIncremental(true);
   ASSERT_FALSE(sessionSignature(S).empty());
 
@@ -316,7 +307,6 @@ TEST_P(IncrementalDifferential, ChainedEditStreamMatchesColdAtEveryStep) {
     AppliedSoFar += Script.ExpectApplied ? 1 : 0;
 
     AnalysisSession Cold(Script.Edited);
-    Cold.setThreads(Threads);
     EXPECT_EQ(sessionSignature(S), sessionSignature(Cold)) << Script.Name;
 
     // Return to base so every script edits the same skeleton; this
@@ -324,16 +314,12 @@ TEST_P(IncrementalDifferential, ChainedEditStreamMatchesColdAtEveryStep) {
     S.setSource(std::string(BaseSource));
     AppliedSoFar += Script.ExpectApplied ? 1 : 0;
     AnalysisSession ColdBase{std::string(BaseSource)};
-    ColdBase.setThreads(Threads);
     EXPECT_EQ(sessionSignature(S), sessionSignature(ColdBase))
         << Script.Name << " (reverse)";
   }
   EXPECT_EQ(S.incrementalStats().Applied, AppliedSoFar);
   EXPECT_GT(S.incrementalStats().FunctionsReused, 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Threads, IncrementalDifferential,
-                         ::testing::Values(1u, 4u));
 
 namespace {
 

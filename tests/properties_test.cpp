@@ -8,8 +8,10 @@
 //    ("in the limit", Sec. 2);
 //  - seeds belong to their own slices; slicing is deterministic;
 //  - the dynamic thin slice observed by the interpreter is a subset of
-//    the static thin slice (the static analysis is a sound
-//    over-approximation of dynamic producer flow);
+//    the static thin slice, context-insensitive and context-sensitive,
+//    with main() declared last (as generated) and first (the static
+//    analysis is a sound over-approximation of dynamic producer flow
+//    whatever the declaration order);
 //  - generated programs compile, verify, and execute deterministically.
 //
 //===----------------------------------------------------------------------===//
@@ -62,6 +64,15 @@ Built buildFromSource(const std::string &Source) {
 
 Built build(uint64_t Seed) {
   return buildFromSource(generateRandomProgram(Seed));
+}
+
+/// \p Source with its `def main() {` block moved to the front, so main
+/// is declared before every method it calls. The generator emits main
+/// last, so the block runs to the end of the source.
+std::string mainFirst(const std::string &Source) {
+  const std::size_t At = Source.find("def main() {");
+  EXPECT_NE(At, std::string::npos);
+  return Source.substr(At) + "\n" + Source.substr(0, At);
 }
 
 class RandomProgramProperty : public ::testing::TestWithParam<uint64_t> {};
@@ -126,23 +137,40 @@ TEST_P(RandomProgramProperty, ExecutionIsDeterministic) {
 
 TEST_P(RandomProgramProperty, DynamicThinSliceWithinStatic) {
   // Soundness: every statement the interpreter observes producing the
-  // seed's value must be in the static thin slice.
-  Built B = build(GetParam());
-  ASSERT_NE(B.P, nullptr);
-  InterpOptions Opts;
-  Opts.TraceDeps = true;
-  InterpResult R = interpret(*B.P, Opts);
-  // Even on runtime errors the executed prefix is a valid witness.
-  for (const Instr *Seed : B.Seeds) {
-    auto DynStmts = R.Trace.dynamicThinSliceOfLast(Seed);
-    if (DynStmts.empty())
-      continue; // Seed never executed.
-    SliceResult Static = sliceBackward(*B.G, Seed, SliceMode::Thin);
-    for (const Instr *I : DynStmts)
-      EXPECT_TRUE(Static.contains(I))
-          << "dynamic producer at line " << I->loc().Line
-          << " missing from static thin slice of seed at line "
-          << Seed->loc().Line;
+  // seed's value must be in the static thin slice, on both the
+  // context-insensitive and the context-sensitive (tabulation) route,
+  // in both declaration orders.
+  const std::string Generated = generateRandomProgram(GetParam());
+  for (bool MainFirst : {false, true}) {
+    const char *Order = MainFirst ? "main first" : "main last";
+    Built B = buildFromSource(MainFirst ? mainFirst(Generated) : Generated);
+    ASSERT_NE(B.P, nullptr) << Order;
+    ModRefResult MR(*B.P, *B.PTA);
+    SDGOptions CSOpts;
+    CSOpts.ContextSensitive = true;
+    std::unique_ptr<SDG> CS = buildSDG(*B.P, *B.PTA, &MR, CSOpts);
+    TabulationSlicer Tab(*CS, SliceMode::Thin);
+    InterpOptions Opts;
+    Opts.TraceDeps = true;
+    InterpResult R = interpret(*B.P, Opts);
+    // Even on runtime errors the executed prefix is a valid witness.
+    for (const Instr *Seed : B.Seeds) {
+      auto DynStmts = R.Trace.dynamicThinSliceOfLast(Seed);
+      if (DynStmts.empty())
+        continue; // Seed never executed.
+      SliceResult Static = sliceBackward(*B.G, Seed, SliceMode::Thin);
+      SliceResult StaticCS = Tab.slice(Seed);
+      for (const Instr *I : DynStmts) {
+        EXPECT_TRUE(Static.contains(I))
+            << Order << ": dynamic producer at line " << I->loc().Line
+            << " missing from static thin slice of seed at line "
+            << Seed->loc().Line;
+        EXPECT_TRUE(StaticCS.contains(I))
+            << Order << ": dynamic producer at line " << I->loc().Line
+            << " missing from context-sensitive thin slice of seed at line "
+            << Seed->loc().Line;
+      }
+    }
   }
 }
 

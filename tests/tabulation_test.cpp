@@ -184,3 +184,40 @@ def main() {
   EXPECT_TRUE(F.sliceHasLine(S, 4));
   EXPECT_TRUE(F.sliceHasLine(S, 6));
 }
+
+// Regression: callees declared after their caller. The context-
+// sensitive SDG must create every method's heap formals before it
+// wires any call site; when it created them on each method's own turn,
+// the calls to store() and load() below got no heap parameter edges
+// and the CS slice of the print lost the store `c.v = x` and the call
+// that feeds it. Here the CS slice equals the CI one.
+TEST(Tabulation, CalleesDeclaredAfterTheirCallerKeepHeapParameters) {
+  const std::string Source = "class Cell { var v: int; }\n" // 1
+                             "def main() {\n"               // 2
+                             "  var c1 = new Cell();\n"     // 3
+                             "  store(c1, readInt());\n"    // 4
+                             "  print(load(c1));\n"         // 5
+                             "}\n"                          // 6
+                             "def store(c: Cell, x: int) {\n" // 7
+                             "  c.v = x;\n"                 // 8
+                             "}\n"                          // 9
+                             "def load(c: Cell): int {\n"   // 10
+                             "  return c.v;\n"              // 11
+                             "}\n";                         // 12
+  Fixture F(Source);
+  ASSERT_NE(F.CS, nullptr);
+  ASSERT_NE(F.CI, nullptr);
+  const Instr *Print = F.lastAtLine(5);
+  ASSERT_NE(Print, nullptr);
+  auto Render = [&](const SliceResult &R) {
+    std::string Out;
+    for (const SourceLine &L : R.sourceLines())
+      Out += L.M->qualifiedName(F.P->strings()) + ":" +
+             std::to_string(L.Line) + " ";
+    return Out;
+  };
+  const std::string Want = "main:4 main:5 store:7 store:8 load:11 ";
+  EXPECT_EQ(Render(sliceBackward(*F.CI, Print, SliceMode::Thin)), Want);
+  EXPECT_EQ(Render(TabulationSlicer(*F.CS, SliceMode::Thin).slice(Print)),
+            Want);
+}

@@ -11,7 +11,7 @@
 //   thinslice prog.tsj --line 24 --forward        forward thin slice
 //   thinslice prog.tsj --line 3 --chop 24         thin chop 3 -> 24
 //   thinslice prog.tsj --line 24 --context-sensitive
-//   thinslice prog.tsj --seeds seeds.txt --threads 4    batched slicing
+//   thinslice prog.tsj --seeds seeds.txt          batched slicing
 //   thinslice prog.tsj --run --int 1 --in "John Doe"
 //   thinslice prog.tsj --line 24 --dot slice.dot
 //   thinslice prog.tsj --dump-ir / --stats
@@ -29,9 +29,8 @@
 //
 // Exit codes: 0 success (complete result), 1 file/compile/write error,
 // 2 usage error, 3 budget-degraded result, 4 degraded result refused
-// by --strict-budget, 5 internal/stage failure (a stage crashed and
-// exhausted its retries — distinct from a compile error and from sound
-// degradation).
+// by --strict-budget, 5 internal/stage failure (a stage crashed —
+// distinct from a compile error and from sound degradation).
 //
 //===----------------------------------------------------------------------===//
 
@@ -73,13 +72,9 @@ struct CliOptions {
   bool ContextSensitive = false;
   bool NoObjSens = false;
   bool Run = false;
-  /// Batched slicing: a file of seed line numbers, fanned out over a
-  /// worker pool.
+  /// Batched slicing: a file of seed line numbers, answered as one
+  /// query.
   std::string SeedsFile;
-  /// Threads for slice batches, including the main one; the analysis
-  /// stages run sequentially. 0 = hardware_concurrency; 1 = no pool.
-  /// Set by --threads.
-  unsigned Threads = 0;
   /// Warm-session REPL: answer repeated `slice <line>` queries against
   /// one AnalysisSession.
   bool Interactive = false;
@@ -126,7 +121,7 @@ struct CliOptions {
 void usage() {
   fprintf(stderr,
           "usage: thinslice <file.tsj> [--line N] [--mode thin|trad]\n"
-          "                 [--seeds FILE] [--threads N] [--interactive]\n"
+          "                 [--seeds FILE] [--interactive]\n"
           "                 [--forward] [--chop N] [--alias-depth K]\n"
           "                 [--expand] [--context-sensitive] [--no-objsens]\n"
           "                 [--run] [--in STR]... [--int N]...\n"
@@ -134,7 +129,7 @@ void usage() {
           "                 [--no-runtime] [--pta-stats]\n"
           "                 [--budget-ms N] [--max-sdg-nodes N]\n"
           "                 [--max-slice-stmts N] [--strict-budget]\n"
-          "                 [--fault POINT[:N][:throw|:stall][:once],...\n"
+          "                 [--fault POINT[:N][:throw][:once],...\n"
           "                          |all|rand:SEED] [--run-steps N]\n"
           "                 [--incremental on|off]\n"
           "                 [--save-snapshot FILE] [--load-snapshot FILE]\n"
@@ -195,9 +190,6 @@ bool parseArgs(int argc, char **argv, CliOptions &Opts) {
         return false;
     } else if (Arg == "--interactive") {
       Opts.Interactive = true;
-    } else if (Arg == "--threads") {
-      if (!parsePositive("--threads", Next(), Opts.Threads))
-        return false;
     } else if (Arg == "--chop") {
       if (!parsePositive("--chop", Next(), Opts.ChopSink))
         return false;
@@ -521,10 +513,9 @@ int runInteractive(AnalysisSession &Session, const CliOptions &Opts,
         Q.ContextSensitive = Session.sdgOptions().ContextSensitive;
         const std::vector<SliceResult> *Answer = Session.query(Q);
         if (!Answer) {
-          // A stage crashed and exhausted its retries (or an upstream
-          // artifact could not be built). The session caches nothing
-          // on this path, so the next request retries from scratch —
-          // keep the REPL alive.
+          // A stage crashed (or an upstream artifact could not be
+          // built). The session caches nothing on this path, so the
+          // next request computes it again — keep the REPL alive.
           fprintf(stderr, "error: query failed (%s); session remains "
                           "usable, retry the query\n",
                   Session.lastError().str().c_str());
@@ -809,7 +800,6 @@ int runTool(int argc, char **argv) {
   AnalysisSession Session(std::move(Source));
   Session.setBudget(B);
   Session.setIncremental(Opts.Incremental);
-  Session.setThreads(Opts.Threads);
   Program *P = Session.program();
   if (!P) {
     reportCompileErrors(Session, Opts.File, LineOffset);
@@ -887,8 +877,8 @@ int runTool(int argc, char **argv) {
     return runInteractive(Session, Opts, LineOffset);
 
   // A null artifact here means the stage crashed (injected Throw fault
-  // or internal error) and exhausted its retries — exit 5, distinct
-  // from a compile error (1) and from sound degradation (3/4).
+  // or internal error) — exit 5, distinct from a compile error (1) and
+  // from sound degradation (3/4).
   auto StageFailed = [&](const char *Stage) {
     fprintf(stderr, "error: %s stage failed: %s\n", Stage,
             Session.lastError().str().c_str());
@@ -1005,8 +995,7 @@ int runTool(int argc, char **argv) {
             stdout);
     }
     const BatchStats &St = Session.engine()->stats();
-    printf("batch: %u queries (%u unique) on %u worker%s\n", St.Queries,
-           St.UniqueQueries, St.Workers, St.Workers == 1 ? "" : "s");
+    printf("batch: %u queries (%u unique)\n", St.Queries, St.UniqueQueries);
     // Aggregate degradation: one slice stage for the whole batch.
     auto Rep = std::find_if(Results->begin(), Results->end(),
                             [](const SliceResult &R) { return !R.complete(); });
