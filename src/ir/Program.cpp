@@ -191,4 +191,16 @@ Field *Program::addField(Symbol Name, const Type *Ty, ClassDef *Owner,
 void Program::renumberAll() {
   for (const auto &M : Methods)
     M->renumber();
+  rebuildLineTable();
+}
+
+void Program::rebuildLineTable() {
+  LineTable.clear();
+  for (const auto &M : Methods)
+    for (const Instr *I : M->instrs()) {
+      const unsigned Line = I->loc().Line;
+      if (Line >= LineTable.size())
+        LineTable.resize(std::size_t(Line) + 1, nullptr);
+      LineTable[Line] = I;
+    }
 }

@@ -273,8 +273,28 @@ public:
   Method *mainMethod() const { return Main; }
   void setMainMethod(Method *M) { Main = M; }
 
-  /// Renumbers all method bodies.
+  /// Renumbers all method bodies and rebuilds the line table.
   void renumberAll();
+
+  /// Rebuilds the line table from the current bodies. renumberAll()
+  /// calls it; a pass that moves source locations without renumbering
+  /// (the incremental recompile's line shifts) calls it directly.
+  void rebuildLineTable();
+
+  /// The last instruction in program order (method, then block, then
+  /// instruction order) on source line \p Line, or null. Line 0 holds
+  /// compiler-synthesized instructions. Reads the table the last
+  /// rebuildLineTable() left and never builds it, so threads sharing
+  /// a const Program may call it concurrently.
+  const Instr *lastInstrAtLine(unsigned Line) const {
+    return Line < LineTable.size() ? LineTable[Line] : nullptr;
+  }
+
+  /// One past the highest line any instruction carries (0 for a
+  /// program without instructions).
+  unsigned lineTableSize() const {
+    return static_cast<unsigned>(LineTable.size());
+  }
 
 private:
   StringTable Strings;
@@ -284,6 +304,8 @@ private:
   std::vector<std::unique_ptr<Field>> Fields;
   ClassDef *ObjectClass = nullptr;
   Method *Main = nullptr;
+  /// Source line -> last instruction on it; see lastInstrAtLine().
+  std::vector<const Instr *> LineTable;
 };
 
 //===----------------------------------------------------------------------===//

@@ -87,6 +87,10 @@ const Type *tsl::decodeType(ByteReader &R, const Program &P) {
 
 namespace {
 
+/// Highest source line a decoded instruction may carry (4M lines). A
+/// program past it still compiles cold; only its snapshot declines.
+constexpr unsigned MaxDecodedLine = 1u << 22;
+
 /// Local id, or the null sentinel.
 void putLocal(const Local *L, ByteWriter &W) {
   W.vu32(L ? L->id() + 1 : 0);
@@ -291,6 +295,10 @@ std::unique_ptr<Instr> decodeInstr(ByteReader &R, Program &P, Method &M) {
   // Sequenced reads: argument evaluation order is unspecified.
   const unsigned LocLine = R.vu32();
   const unsigned LocCol = R.vu32();
+  // The program's line table holds one slot per line up to the
+  // highest: a corrupt line must not size it.
+  if (LocLine > MaxDecodedLine)
+    throw SerializeError("source line out of range");
   SourceLoc Loc(LocLine, LocCol);
   std::unique_ptr<Instr> I;
   switch (K) {

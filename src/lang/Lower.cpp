@@ -1312,9 +1312,12 @@ std::unique_ptr<Program> Lowering::run() {
   selectMain();
   if (Diag.errorCount() != EntryErrors)
     return nullptr;
-  P->renumberAll();
+  // SSA construction renumbers each body before and after rewriting
+  // it; renumberAll() then indexes lines over the final instructions
+  // (phis and synthesized defaults included).
   if (Options.BuildSSA)
     buildSSAAll(*P);
+  P->renumberAll();
   return std::move(P);
 }
 
@@ -1718,6 +1721,9 @@ tsl::applyIncrementalCompile(Program &P, const SourceDiff &Diff,
       }
     }
   }
+  // Relowered bodies and shifted lines both move statements between
+  // lines; readers only ever see the table rebuilt here.
+  P.rebuildLineTable();
   R.Applied = true;
   return R;
 }

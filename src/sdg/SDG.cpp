@@ -6,8 +6,6 @@
 #include "support/Casting.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cstring>
 
 using namespace tsl;
 
@@ -37,30 +35,20 @@ unsigned SDG::addStmtNode(const Instr *I, const Method *M, unsigned Ctx) {
   ++Epoch;
   unsigned Id = static_cast<unsigned>(Nodes.size());
   Nodes.push_back({SDGNodeKind::Stmt, I, M, 0, Ctx, Id});
-  const uint64_t Key = denseInstrKey(I);
-  auto [It, NewKey] = StmtIndex.try_emplace(Key);
-  It->second.push_back(Id);
-  if (NewKey)
-    AddedStmtKeys.push_back(Key);
+  clonesOf(I).push_back(Id);
   ++NumStmts;
   return Id;
 }
 
-IdRange SDG::nodesFor(const Instr *I) const {
-  const uint64_t Key = denseInstrKey(I);
-  if (!Finalized) {
-    auto It = StmtIndex.find(Key);
-    if (It == StmtIndex.end())
-      return {};
-    const std::vector<unsigned> &Clones = It->second;
-    return {Clones.data(), Clones.data() + Clones.size()};
-  }
-  auto It = std::lower_bound(StmtKeys.begin(), StmtKeys.end(), Key);
-  if (It == StmtKeys.end() || *It != Key)
-    return {};
-  std::size_t Idx = static_cast<std::size_t>(It - StmtKeys.begin());
-  return {StmtClones.data() + StmtCloneOff[Idx],
-          StmtClones.data() + StmtCloneOff[Idx + 1]};
+std::vector<unsigned> &SDG::clonesOf(const Instr *I) {
+  const Method *M = I->parent()->parent();
+  if (M->id() >= InstrClones.size())
+    InstrClones.resize(std::max<std::size_t>(M->id() + 1,
+                                             P.methods().size()));
+  std::vector<std::vector<unsigned>> &ByInstr = InstrClones[M->id()];
+  if (I->id() >= ByInstr.size())
+    ByInstr.resize(std::max<std::size_t>(I->id() + 1, M->numInstrs()));
+  return ByInstr[I->id()];
 }
 
 int SDG::nodeFor(const Instr *I, unsigned Ctx) const {
@@ -72,7 +60,7 @@ int SDG::nodeFor(const Instr *I, unsigned Ctx) const {
 
 unsigned SDG::addHeapNode(SDGNodeKind K, const Instr *CallOrNull,
                           const Method *M, unsigned Part, unsigned Ctx) {
-  ensureIndexes();
+  ensureHeapIndex();
   auto [It, New] = HeapIndex.try_emplace(
       HeapKey{K, heapAnchorKey(CallOrNull, M), Part, Ctx}, 0);
   if (!New)
@@ -89,14 +77,14 @@ unsigned SDG::addHeapNode(SDGNodeKind K, const Instr *CallOrNull,
 
 int SDG::heapNodeFor(SDGNodeKind K, const Method *M, unsigned Part,
                      unsigned Ctx) const {
-  ensureIndexes();
+  ensureHeapIndex();
   auto It = HeapIndex.find(HeapKey{K, heapAnchorKey(nullptr, M), Part, Ctx});
   return It == HeapIndex.end() ? -1 : static_cast<int>(It->second);
 }
 
 int SDG::heapNodeFor(SDGNodeKind K, const Instr *Call, unsigned Part,
                      unsigned Ctx) const {
-  ensureIndexes();
+  ensureHeapIndex();
   auto It = HeapIndex.find(HeapKey{K, heapAnchorKey(Call, nullptr), Part, Ctx});
   return It == HeapIndex.end() ? -1 : static_cast<int>(It->second);
 }
@@ -111,23 +99,17 @@ void SDG::ensureEdgeDedup() {
   DedupValid = true;
 }
 
-void SDG::ensureIndexes() const {
-  if (IndexesValid)
+void SDG::ensureHeapIndex() const {
+  if (HeapIndexValid)
     return;
   // Only decode() invalidates, and a decoded graph has no tombstones,
   // but skip dead nodes anyway so the rebuild matches compact()'s.
   auto *Self = const_cast<SDG *>(this);
-  Self->StmtIndex.clear();
   Self->HeapIndex.clear();
-  for (const SDGNode &N : Nodes) {
-    if (N.Dead)
-      continue;
-    if (N.K == SDGNodeKind::Stmt)
-      Self->StmtIndex[denseInstrKey(N.I)].push_back(N.Id);
-    else
+  for (const SDGNode &N : Nodes)
+    if (!N.Dead && N.K != SDGNodeKind::Stmt)
       Self->HeapIndex[heapKey(N)] = N.Id;
-  }
-  Self->IndexesValid = true;
+  Self->HeapIndexValid = true;
 }
 
 bool SDG::addEdge(unsigned From, unsigned To, SDGEdgeKind K,
@@ -210,17 +192,8 @@ void SDG::killNode(unsigned Id) {
   ++NumDead;
   if (N.K == SDGNodeKind::Stmt) {
     --NumStmts;
-    const uint64_t Key = denseInstrKey(N.I);
-    auto It = StmtIndex.find(Key);
-    if (It != StmtIndex.end()) {
-      auto &Clones = It->second;
-      Clones.erase(std::remove(Clones.begin(), Clones.end(), Id),
-                   Clones.end());
-      if (Clones.empty()) {
-        RemovedStmtKeys.push_back(Key);
-        StmtIndex.erase(It);
-      }
-    }
+    std::vector<unsigned> &Clones = clonesOf(N.I);
+    Clones.erase(std::remove(Clones.begin(), Clones.end(), Id), Clones.end());
   } else {
     if (N.K == SDGNodeKind::ScalarActualIn)
       --NumStmts;
@@ -278,17 +251,18 @@ void SDG::compact() {
   Edges.swap(Kept);
   EdgeDedup.clear(); // Rebuilt by the next checked mutation.
   DedupValid = false;
-  keyChurnReset(); // Wholesale rebuild: the churn log is meaningless.
-  StmtIndex.clear();
+  // killNode() already dropped dead ids from the statement index, and
+  // renumbering keeps relative order, so each clone list is remapped
+  // in place.
+  for (auto &ByInstr : InstrClones)
+    for (std::vector<unsigned> &Clones : ByInstr)
+      for (unsigned &Id : Clones)
+        Id = NewId[Id];
   HeapIndex.clear();
-  for (const SDGNode &N : Nodes) {
-    if (N.K == SDGNodeKind::Stmt) {
-      StmtIndex[denseInstrKey(N.I)].push_back(N.Id);
-    } else {
+  for (const SDGNode &N : Nodes)
+    if (N.K != SDGNodeKind::Stmt)
       HeapIndex[heapKey(N)] = N.Id;
-    }
-  }
-  IndexesValid = true;
+  HeapIndexValid = true;
 }
 
 unsigned SDG::numEdgesOfKind(SDGEdgeKind K) const {
@@ -298,7 +272,9 @@ unsigned SDG::numEdgesOfKind(SDGEdgeKind K) const {
   return N;
 }
 
-void SDG::buildCSR() {
+void SDG::finalize() {
+  if (Finalized)
+    return;
   const std::size_t NK = NumSDGEdgeKinds;
   const std::size_t Slots = Nodes.size() * NK;
 
@@ -338,104 +314,20 @@ void SDG::buildCSR() {
   }
   InOff[0] = 0;
   OutOff[0] = 0;
-}
-
-void SDG::finalize() {
-  if (Finalized)
-    return;
-  buildCSR();
-
-  // Compact the statement index into sorted arrays. The hash map
-  // stays live alongside them: incremental patches flip the graph
-  // back to construction form, and rebuilding the map there costs
-  // more than the map's footprint is worth. Clone order within one
-  // instruction is preserved (insertion order = context order;
-  // nodeFor() returns the first clone).
-  //
-  // The sorted key view itself is maintained incrementally: a patch
-  // touches a handful of keys, so the previous SortedStmt plus the
-  // churn log replays in one linear merge instead of a full gather
-  // and sort. The mapped clone vectors are referenced by pointer —
-  // stable across unordered_map insert/erase of other keys — so an
-  // entry whose clone list merely changed needs no fixup at all.
-  auto PairLess = [](const auto &A, const auto &B) {
-    return A.first < B.first;
-  };
-  if (SortedStmt.empty()) {
-    SortedStmt.reserve(StmtIndex.size());
-    for (const auto &KV : StmtIndex)
-      SortedStmt.emplace_back(KV.first, &KV.second);
-    std::sort(SortedStmt.begin(), SortedStmt.end(), PairLess);
-  } else if (!AddedStmtKeys.empty() || !RemovedStmtKeys.empty()) {
-    std::sort(AddedStmtKeys.begin(), AddedStmtKeys.end());
-    AddedStmtKeys.erase(
-        std::unique(AddedStmtKeys.begin(), AddedStmtKeys.end()),
-        AddedStmtKeys.end());
-    std::sort(RemovedStmtKeys.begin(), RemovedStmtKeys.end());
-    RemovedStmtKeys.erase(
-        std::unique(RemovedStmtKeys.begin(), RemovedStmtKeys.end()),
-        RemovedStmtKeys.end());
-    // Final membership decides keys that churned both ways: a key
-    // killed and re-created is skipped from the old view (it is in
-    // the removed log) and re-enters through the add list with its
-    // fresh clone-vector address; an added key that died again is
-    // simply dropped here.
-    std::vector<std::pair<uint64_t, const std::vector<unsigned> *>> Adds;
-    Adds.reserve(AddedStmtKeys.size());
-    for (uint64_t K : AddedStmtKeys) {
-      auto It = StmtIndex.find(K);
-      if (It != StmtIndex.end())
-        Adds.emplace_back(K, &It->second);
-    }
-    std::vector<std::pair<uint64_t, const std::vector<unsigned> *>> NewSorted;
-    NewSorted.reserve(SortedStmt.size() + Adds.size());
-    auto AI = Adds.begin();
-    auto RI = RemovedStmtKeys.begin();
-    for (const auto &KV : SortedStmt) {
-      while (AI != Adds.end() && AI->first < KV.first)
-        NewSorted.push_back(*AI++);
-      while (RI != RemovedStmtKeys.end() && *RI < KV.first)
-        ++RI;
-      if (RI != RemovedStmtKeys.end() && *RI == KV.first)
-        continue;
-      NewSorted.push_back(KV);
-    }
-    while (AI != Adds.end())
-      NewSorted.push_back(*AI++);
-    SortedStmt.swap(NewSorted);
-  }
-  AddedStmtKeys.clear();
-  RemovedStmtKeys.clear();
-  assert(SortedStmt.size() == StmtIndex.size() &&
-         "sorted statement view out of sync with the index");
-  StmtKeys.clear();
-  StmtKeys.reserve(SortedStmt.size());
-  StmtCloneOff.assign(SortedStmt.size() + 1, 0);
-  StmtClones.clear();
-  for (std::size_t I = 0; I != SortedStmt.size(); ++I) {
-    StmtKeys.push_back(SortedStmt[I].first);
-    StmtClones.insert(StmtClones.end(), SortedStmt[I].second->begin(),
-                      SortedStmt[I].second->end());
-    StmtCloneOff[I + 1] = static_cast<unsigned>(StmtClones.size());
-  }
-
   Finalized = true;
 }
+
 
 void SDG::unfinalize() {
   if (!Finalized)
     return;
-  // Reopening for mutation needs the construction-form indexes,
-  // which a decoded graph defers (see ensureIndexes).
-  ensureIndexes();
+  // Reopening for mutation needs the heap-node index, which a decoded
+  // graph defers (see ensureHeapIndex).
+  ensureHeapIndex();
   Finalized = false;
-  // The construction-time statement index stayed live through
-  // finalize(), so only the query-form arrays are dropped. clear()
-  // keeps their capacity: a patched graph refinalizes to (almost)
-  // the same sizes, so the buffers recycle.
-  StmtKeys.clear();
-  StmtCloneOff.clear();
-  StmtClones.clear();
+  // Only the CSR arrays are dropped. clear() keeps their capacity: a
+  // patched graph refinalizes to (almost) the same sizes, so the
+  // buffers recycle.
   InOff.clear();
   OutOff.clear();
   InNbr.clear();
@@ -505,12 +397,11 @@ std::unique_ptr<SDG> SDG::decode(ByteReader &R, const Program &P) {
   if (NumNodes > R.remaining())
     throw SerializeError("SDG node count exceeds payload");
   G->Nodes.reserve(NumNodes);
-  // Flat (key, id) / identity-tuple collectors instead of the
-  // construction-form maps: the sorted statement arrays build from
-  // one stable sort below, duplicate identities surface as adjacent
-  // equals, and StmtIndex/HeapIndex stay empty until a mutation
-  // calls ensureIndexes().
-  std::vector<std::pair<uint64_t, unsigned>> StmtPairs;
+  // Statements fill the statement index directly, in stream order —
+  // the clone order the mutation path's appends produce. Heap
+  // identities go to a flat tuple collector instead of HeapIndex,
+  // where duplicates surface as adjacent equals after one sort;
+  // HeapIndex stays empty until a mutation calls ensureHeapIndex().
   std::vector<std::tuple<uint8_t, uint64_t, unsigned, unsigned>> HeapIds;
   for (uint64_t N = 0; N != NumNodes; ++N) {
     uint8_t K = R.u8();
@@ -528,7 +419,11 @@ std::unique_ptr<SDG> SDG::decode(ByteReader &R, const Program &P) {
         throw SerializeError("statement node without anchor");
       if (Part)
         throw SerializeError("statement node with partition");
-      StmtPairs.emplace_back(denseInstrKey(I), Id);
+      std::vector<unsigned> &Clones = G->clonesOf(I);
+      for (unsigned Other : Clones)
+        if (G->Nodes[Other].Ctx == Ctx)
+          throw SerializeError("duplicate SDG node identity");
+      Clones.push_back(Id);
       ++G->NumStmts;
     } else {
       HeapIds.emplace_back(K, heapAnchorKey(I, M), Part, Ctx);
@@ -538,33 +433,10 @@ std::unique_ptr<SDG> SDG::decode(ByteReader &R, const Program &P) {
     G->Nodes.push_back({static_cast<SDGNodeKind>(K), I, M, Part, Ctx, Id});
   }
 
-  // Batch duplicate-identity checks.
+  // Batch duplicate-identity check over the heap nodes.
   std::sort(HeapIds.begin(), HeapIds.end());
   if (std::adjacent_find(HeapIds.begin(), HeapIds.end()) != HeapIds.end())
     throw SerializeError("duplicate SDG node identity");
-  // Stable by key: ids within one key keep stream order — the same
-  // clone order the mutation path's insertion-ordered lists produce.
-  std::stable_sort(
-      StmtPairs.begin(), StmtPairs.end(),
-      [](const auto &A, const auto &B) { return A.first < B.first; });
-  G->StmtKeys.reserve(StmtPairs.size());
-  G->StmtClones.reserve(StmtPairs.size());
-  G->StmtCloneOff.push_back(0);
-  for (std::size_t I = 0; I != StmtPairs.size();) {
-    std::size_t J = I;
-    while (J != StmtPairs.size() && StmtPairs[J].first == StmtPairs[I].first)
-      ++J;
-    for (std::size_t A = I; A != J; ++A)
-      for (std::size_t B = A + 1; B != J; ++B)
-        if (G->Nodes[StmtPairs[A].second].Ctx ==
-            G->Nodes[StmtPairs[B].second].Ctx)
-          throw SerializeError("duplicate SDG node identity");
-    G->StmtKeys.push_back(StmtPairs[I].first);
-    for (std::size_t A = I; A != J; ++A)
-      G->StmtClones.push_back(StmtPairs[A].second);
-    G->StmtCloneOff.push_back(static_cast<unsigned>(G->StmtClones.size()));
-    I = J;
-  }
 
   const uint64_t NumEdges = R.vu64();
   if (NumEdges > R.remaining())
@@ -586,15 +458,12 @@ std::unique_ptr<SDG> SDG::decode(ByteReader &R, const Program &P) {
     }
     G->Edges.push_back({From, To, static_cast<SDGEdgeKind>(K), Site});
   }
-  // The construction-form indexes stay empty until the first
-  // mutation rebuilds them; a warm-started session that only answers
-  // queries never does. The statement arrays above plus the CSR
-  // adjacency ARE the finalized form, so finalize() itself (which
-  // would gather from the empty StmtIndex) must not run.
+  // EdgeDedup and HeapIndex stay empty until the first mutation
+  // rebuilds them; a warm-started session that only answers queries
+  // never does.
   G->DedupValid = false;
-  G->IndexesValid = false;
+  G->HeapIndexValid = false;
   G->Epoch = NumNodes + NumEdges;
-  G->buildCSR();
-  G->Finalized = true;
+  G->finalize();
   return G;
 }

@@ -26,15 +26,16 @@
 /// "To depends on From"; backward slicing walks inEdges.
 ///
 /// The graph has two phases. During construction it is mutable and
-/// keeps hash-map indexes. finalize() compacts it into an immutable,
-/// query-optimized form: CSR (compressed sparse row) in/out adjacency
-/// *partitioned by edge kind*, so a slicer following a set of kinds
-/// iterates contiguous neighbor runs with no per-edge branch or
-/// edge-record load, plus a sorted-array statement index replacing the
-/// unordered_map. buildSDG() returns finalized graphs; a mutation
-/// after finalize() transparently reopens the graph (and bumps the
-/// epoch that keys cross-query caches such as the tabulation
-/// SummaryCache).
+/// keeps hash indexes for heap-node and edge identity. finalize()
+/// compacts the edges into an immutable, query-optimized form: CSR
+/// (compressed sparse row) in/out adjacency *partitioned by edge
+/// kind*, so a slicer following a set of kinds iterates contiguous
+/// neighbor runs with no per-edge branch or edge-record load. The
+/// statement index has one form in both phases: a table indexed by
+/// (method id, method-local instruction id). buildSDG() returns
+/// finalized graphs; a mutation after finalize() transparently reopens
+/// the graph (and bumps the epoch that keys cross-query caches such as
+/// the tabulation SummaryCache).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -273,10 +274,10 @@ public:
   //===------------------------------------------------------------------===//
 
   /// Compacts the graph into the immutable query form: edge-kind-
-  /// partitioned CSR in/out adjacency and a sorted-array statement
-  /// index. The construction-time hash index stays live so patches
-  /// can reopen the graph without a rebuild. Idempotent; buildSDG()
-  /// calls it before returning.
+  /// partitioned CSR in/out adjacency. The statement index needs no
+  /// query form, and the heap-node index stays live so patches can
+  /// reopen the graph without a rebuild. Idempotent; buildSDG() calls
+  /// it before returning.
   void finalize();
 
   bool finalized() const { return Finalized; }
@@ -375,9 +376,16 @@ public:
     return R.empty() ? -1 : static_cast<int>(R.front());
   }
 
-  /// All clones of the instruction (one per analysis context). A
-  /// source-statement seed means slicing from every clone.
-  IdRange nodesFor(const Instr *I) const;
+  /// All clones of the instruction (one per analysis context), in
+  /// insertion (context) order. A source-statement seed means slicing
+  /// from every clone.
+  IdRange nodesFor(const Instr *I) const {
+    const unsigned MId = I->parent()->parent()->id();
+    if (MId >= InstrClones.size() || I->id() >= InstrClones[MId].size())
+      return {};
+    const std::vector<unsigned> &C = InstrClones[MId][I->id()];
+    return {C.data(), C.data() + C.size()};
+  }
 
   /// The clone of \p I in context \p Ctx, or -1.
   int nodeFor(const Instr *I, unsigned Ctx) const;
@@ -419,14 +427,14 @@ public:
 
   /// Rebuilds a graph from an encode() payload against \p P with the
   /// validation the mutation API performs (anchor resolution, bounds,
-  /// duplicate node identities) but filling the node/edge tables and
-  /// the CSR query form directly — node and edge ids reproduce
-  /// exactly as a replay would assign them, and the sorted statement
-  /// arrays and adjacency come from the same deterministic sorts a
-  /// cold finalize() uses. The construction-form indexes (EdgeDedup,
-  /// StmtIndex, HeapIndex) are left lazy (see ensureEdgeDedup /
-  /// ensureIndexes): a decoded graph that is only queried never pays
-  /// for them. Throws SerializeError on malformed input.
+  /// duplicate node identities) but filling the node/edge tables, the
+  /// statement index and the CSR query form directly — node and edge
+  /// ids reproduce exactly as a replay would assign them, and the
+  /// adjacency comes from the same counting sort a cold finalize()
+  /// uses. The construction-only indexes (EdgeDedup, HeapIndex) are
+  /// left lazy (see ensureEdgeDedup / ensureHeapIndex): a decoded
+  /// graph that is only queried never pays for them. Throws
+  /// SerializeError on malformed input.
   static std::unique_ptr<SDG> decode(ByteReader &R, const Program &P);
 
 private:
@@ -439,17 +447,13 @@ private:
   /// removeEdgesIf) calls this first; pure query paths never do.
   void ensureEdgeDedup();
 
-  /// Rebuilds StmtIndex/HeapIndex from the node list when a decode
-  /// left them unpopulated (IndexesValid below). Every construction-
-  /// form user (unfinalize, addHeapNode, heapNodeFor) calls this
-  /// first; the finalized query path never does. Like
-  /// ensureFinalized(), not safe to race from multiple threads —
-  /// mutation and identity lookups are single-threaded by contract.
-  void ensureIndexes() const;
-
-  /// Counting sort of the edge list into the kind-partitioned CSR
-  /// in/out adjacency — the shared half of finalize() and decode().
-  void buildCSR();
+  /// Rebuilds HeapIndex from the node list when a decode left it
+  /// unpopulated (HeapIndexValid below). Every construction-form user
+  /// (unfinalize, addHeapNode, heapNodeFor) calls this first; the
+  /// finalized query path never does. Like ensureFinalized(), not safe
+  /// to race from multiple threads — mutation and identity lookups are
+  /// single-threaded by contract.
+  void ensureHeapIndex() const;
 
   IdRange rowEdges(const std::vector<unsigned> &Off,
                    const std::vector<unsigned> &Ids, unsigned Node) const {
@@ -510,13 +514,15 @@ private:
   const Program &P;
   std::vector<SDGNode> Nodes;
   std::vector<SDGEdge> Edges;
-  /// Statement index keyed by denseInstrKey, maintained in both
-  /// forms: the query path reads the sorted arrays below, mutation
-  /// reads and updates this map. Dense keys (not Instr*) so a decoded
-  /// graph rebuilds identical index state — see ir/Program.h.
-  /// Unpopulated after decode() until a mutation or identity lookup
-  /// needs it (IndexesValid below).
-  std::unordered_map<uint64_t, std::vector<unsigned>> StmtIndex;
+  /// Statement index: InstrClones[m][i] lists the live clones of
+  /// instruction i of method m — the two halves of denseInstrKey — in
+  /// insertion (ascending id, i.e. context) order. Dense ids (not
+  /// Instr*) so a decoded graph fills identical index state — see
+  /// ir/Program.h. Grown on demand; construction, patches and queries
+  /// all read this one table.
+  std::vector<std::vector<std::vector<unsigned>>> InstrClones;
+  /// The clone list of \p I, growing the table to reach it.
+  std::vector<unsigned> &clonesOf(const Instr *I);
   /// Exact node identity: (kind, dense anchor, partition/operand,
   /// ctx).
   struct HeapKey {
@@ -557,9 +563,9 @@ private:
     return {E.From, E.To, E.K, siteKey(E.Site)};
   }
   /// Heap node identity -> id. Never iterated, so a hash map. Lazy
-  /// after decode(), like StmtIndex.
+  /// after decode().
   std::unordered_map<HeapKey, unsigned, KeyHash> HeapIndex;
-  bool IndexesValid = true;
+  bool HeapIndexValid = true;
   /// Exact edge identity: a silently merged or dropped edge would
   /// corrupt slices. Never iterated, so a hash set. Unpopulated after
   /// a cold build or decode() until the first checked mutation needs
@@ -585,25 +591,6 @@ private:
   std::vector<unsigned> InNbr, OutNbr;
   /// Parallel edge ids, for callers that need Site or kind details.
   std::vector<unsigned> InEdgeId, OutEdgeId;
-  /// Sorted statement index: StmtKeys (dense instruction keys)
-  /// sorted; the clones of StmtKeys[i] are
-  /// StmtClones[StmtCloneOff[i] .. StmtCloneOff[i+1]).
-  std::vector<uint64_t> StmtKeys;
-  std::vector<unsigned> StmtCloneOff;
-  std::vector<unsigned> StmtClones;
-  /// The previous finalize()'s sorted (key, clone-list) view, kept
-  /// across unfinalize() together with the key churn since then
-  /// (AddedStmtKeys/RemovedStmtKeys, filled by addStmtNode/killNode).
-  /// The next finalize() merges the churn into this instead of
-  /// re-sorting all keys; compact() invalidates it (see keyChurnReset).
-  std::vector<std::pair<uint64_t, const std::vector<unsigned> *>> SortedStmt;
-  std::vector<uint64_t> AddedStmtKeys, RemovedStmtKeys;
-
-  void keyChurnReset() {
-    SortedStmt.clear();
-    AddedStmtKeys.clear();
-    RemovedStmtKeys.clear();
-  }
 };
 
 /// SDG construction options.

@@ -96,13 +96,7 @@ std::string SliceNarration::str(unsigned LineOffset) const {
 //===----------------------------------------------------------------------===//
 
 const Instr *tsl::seedAtLine(const Program &P, unsigned Line) {
-  const Instr *Last = nullptr;
-  for (const auto &M : P.methods())
-    for (const auto &BB : M->blocks())
-      for (const auto &I : BB->instrs())
-        if (I->loc().Line == Line)
-          Last = I.get();
-  return Last;
+  return P.lastInstrAtLine(Line);
 }
 
 std::string tsl::renderSliceReport(const SliceResult &Slice,
@@ -145,19 +139,21 @@ std::string tsl::sliceQueryName(const SliceQuery &Q) {
 
 std::string tsl::noStatementMessage(const Program &P, unsigned UserLine,
                                     unsigned LineOffset) {
-  unsigned AbsLine = UserLine + LineOffset;
+  // Nearest statement lines strictly below and above AbsLine, both
+  // past the runtime-library prefix (lines 1..LineOffset).
+  const unsigned AbsLine = UserLine + LineOffset;
+  const uint64_t First = uint64_t(LineOffset) + 1, End = P.lineTableSize();
   unsigned Below = 0, Above = ~0u;
-  for (const auto &M : P.methods())
-    for (const auto &BB : M->blocks())
-      for (const auto &I : BB->instrs()) {
-        unsigned L = I->loc().Line;
-        if (L <= LineOffset) // Runtime-library prefix.
-          continue;
-        if (L < AbsLine)
-          Below = std::max(Below, L);
-        else if (L > AbsLine)
-          Above = std::min(Above, L);
-      }
+  for (uint64_t L = std::min<uint64_t>(AbsLine, End); L-- > First;)
+    if (P.lastInstrAtLine(static_cast<unsigned>(L))) {
+      Below = static_cast<unsigned>(L);
+      break;
+    }
+  for (uint64_t L = std::max(uint64_t(AbsLine) + 1, First); L < End; ++L)
+    if (P.lastInstrAtLine(static_cast<unsigned>(L))) {
+      Above = static_cast<unsigned>(L);
+      break;
+    }
   std::string Near;
   if (Below)
     Near += std::to_string(Below - LineOffset);

@@ -70,7 +70,10 @@ SliceNarration narrateSlice(const SliceResult &Slice, const Instr *Seed,
 /// The statement carrying source line \p Line (absolute, i.e. after
 /// any runtime-library prefix), or null. When several statements share
 /// the line, the last one in program order is returned — the seed
-/// convention every tool entry point uses.
+/// convention every tool entry point uses. A lookup in the program's
+/// line table (Program::lastInstrAtLine), which renumberAll() builds
+/// for a cold compile or a snapshot decode and applyIncrementalCompile()
+/// rebuilds after an edit; reading it never builds it.
 const Instr *seedAtLine(const Program &P, unsigned Line);
 
 /// The standard report of one slice: a "<What> from line

@@ -24,6 +24,7 @@
 #include "sdg/SDG.h"
 #include "slicer/Slicer.h"
 #include "support/Budget.h"
+#include "support/Serialize.h"
 
 #include <gtest/gtest.h>
 
@@ -32,6 +33,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace tsl;
@@ -190,12 +192,10 @@ std::string readBytes(const std::string &Path) {
   return OS.str();
 }
 
-/// (ContextSensitive, Threads) grid point.
-class SnapshotDifferential
-    : public ::testing::TestWithParam<std::tuple<bool, unsigned>> {};
+/// Grid point: the context-sensitive (true) or -insensitive SDG.
+class SnapshotDifferential : public ::testing::TestWithParam<bool> {};
 
-void applyOptions(AnalysisSession &S, bool CS, unsigned Threads) {
-  S.setThreads(Threads);
+void applyOptions(AnalysisSession &S, bool CS) {
   SDGOptions SO;
   SO.ContextSensitive = CS;
   S.setSDGOptions(SO);
@@ -204,24 +204,22 @@ void applyOptions(AnalysisSession &S, bool CS, unsigned Threads) {
 } // namespace
 
 TEST_P(SnapshotDifferential, LoadIsByteIdenticalToColdRebuild) {
-  const bool CS = std::get<0>(GetParam());
-  const unsigned Threads = std::get<1>(GetParam());
+  const bool CS = GetParam();
   const std::string Snap = tempPath(
-      std::string("tsl_snapshot_diff_") + (CS ? "cs" : "ci") +
-      std::to_string(Threads) + ".tslsnap");
+      std::string("tsl_snapshot_diff_") + (CS ? "cs" : "ci") + ".tslsnap");
 
   AnalysisSession Cold{std::string(BaseSource)};
-  applyOptions(Cold, CS, Threads);
+  applyOptions(Cold, CS);
   const std::string Reference = sessionSignature(Cold);
   ASSERT_FALSE(Reference.empty());
 
   AnalysisSession Saver{std::string(BaseSource)};
-  applyOptions(Saver, CS, Threads);
+  applyOptions(Saver, CS);
   ASSERT_TRUE(Saver.saveSnapshot(Snap).isOk()) << Saver.lastError().str();
   EXPECT_EQ(Saver.snapshotStats().Saves, 1u);
 
   AnalysisSession Warm{std::string(BaseSource)};
-  applyOptions(Warm, CS, Threads);
+  applyOptions(Warm, CS);
   ASSERT_TRUE(Warm.loadSnapshot(Snap).isOk());
   EXPECT_EQ(Warm.snapshotStats().Loads, 1u);
   EXPECT_EQ(Warm.snapshotStats().Fallbacks, 0u);
@@ -236,21 +234,18 @@ TEST_P(SnapshotDifferential, ResaveOfLoadedSessionIsByteIdentical) {
   // encode(decode(x)) == x: the snapshot of a warm-started session is
   // the same byte string as the snapshot it was started from — the
   // canonical-order encoders leak no container iteration order.
-  const bool CS = std::get<0>(GetParam());
-  const unsigned Threads = std::get<1>(GetParam());
+  const bool CS = GetParam();
   const std::string SnapA = tempPath(
-      std::string("tsl_snapshot_rt_a_") + (CS ? "cs" : "ci") +
-      std::to_string(Threads) + ".tslsnap");
+      std::string("tsl_snapshot_rt_a_") + (CS ? "cs" : "ci") + ".tslsnap");
   const std::string SnapB = tempPath(
-      std::string("tsl_snapshot_rt_b_") + (CS ? "cs" : "ci") +
-      std::to_string(Threads) + ".tslsnap");
+      std::string("tsl_snapshot_rt_b_") + (CS ? "cs" : "ci") + ".tslsnap");
 
   AnalysisSession Saver{std::string(BaseSource)};
-  applyOptions(Saver, CS, Threads);
+  applyOptions(Saver, CS);
   ASSERT_TRUE(Saver.saveSnapshot(SnapA).isOk()) << Saver.lastError().str();
 
   AnalysisSession Warm{std::string(BaseSource)};
-  applyOptions(Warm, CS, Threads);
+  applyOptions(Warm, CS);
   ASSERT_TRUE(Warm.loadSnapshot(SnapA).isOk());
   ASSERT_TRUE(Warm.saveSnapshot(SnapB).isOk()) << Warm.lastError().str();
 
@@ -259,13 +254,10 @@ TEST_P(SnapshotDifferential, ResaveOfLoadedSessionIsByteIdentical) {
   fs::remove(SnapB);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Grid, SnapshotDifferential,
-    ::testing::Combine(::testing::Bool(), ::testing::Values(1u, 4u)),
-    [](const ::testing::TestParamInfo<std::tuple<bool, unsigned>> &Info) {
-      return std::string(std::get<0>(Info.param) ? "CS" : "CI") + "Threads" +
-             std::to_string(std::get<1>(Info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Grid, SnapshotDifferential, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool> &Info) {
+                           return std::string(Info.param ? "CS" : "CI");
+                         });
 
 TEST(SnapshotIncremental, LoadThenEditEqualsColdThenEdit) {
   // Warm-start composes with the incremental layer: a session that
@@ -296,6 +288,75 @@ TEST(SnapshotIncremental, LoadThenEditEqualsColdThenEdit) {
   AnalysisSession ColdFresh{Edited};
   EXPECT_EQ(sessionSignature(ColdFresh), Reference);
   fs::remove(Snap);
+}
+
+namespace {
+
+/// One statement-node record of an SDG payload: kind Stmt anchored at
+/// \p I (or at no instruction when null) in method \p M, context
+/// \p Ctx.
+void putStmtNode(ByteWriter &W, const Instr *I, const Method &M,
+                 unsigned Ctx) {
+  W.u8(static_cast<uint8_t>(SDGNodeKind::Stmt));
+  W.vu64(I ? denseInstrKey(I) + 1 : 0);
+  W.vu32(M.id() + 1);
+  W.vu32(0); // Partition.
+  W.vu32(Ctx);
+}
+
+/// Decodes an SDG payload of the given statement nodes (as
+/// (anchored, ctx) pairs at main's first instruction) and no edges;
+/// returns the SerializeError text, or "" when it decodes, in which
+/// case \p Clones receives the contexts nodesFor lists.
+std::string decodeStmtNodes(const Program &P,
+                            const std::vector<std::pair<bool, unsigned>> &Recs,
+                            std::vector<unsigned> *Clones = nullptr) {
+  const Method &Main = *P.mainMethod();
+  const Instr *I = Main.instrs().front();
+  ByteWriter W;
+  putReport(W, StageReport{"sdg", StageStatus::Complete, "", "", 0, 0});
+  W.vu64(Recs.size());
+  for (const auto &[Anchored, Ctx] : Recs)
+    putStmtNode(W, Anchored ? I : nullptr, Main, Ctx);
+  W.vu64(0); // Edges.
+  ByteReader R(W.buffer());
+  try {
+    std::unique_ptr<SDG> G = SDG::decode(R, P);
+    if (Clones)
+      for (unsigned Id : G->nodesFor(I))
+        Clones->push_back(G->node(Id).Ctx);
+  } catch (const SerializeError &E) {
+    return E.what();
+  }
+  return "";
+}
+
+} // namespace
+
+TEST(SnapshotSdgDecode, DistinctContextsOfOneInstructionDecodeInOrder) {
+  // The control for the two rejections below: the same record shape
+  // decodes when the identities differ, clones listed in stream order.
+  AnalysisSession S{std::string(BaseSource)};
+  ASSERT_NE(S.program(), nullptr);
+  std::vector<unsigned> Clones;
+  EXPECT_EQ(decodeStmtNodes(*S.program(), {{true, 2}, {true, 0}, {true, 1}},
+                            &Clones),
+            "");
+  EXPECT_EQ(Clones, (std::vector<unsigned>{2, 0, 1}));
+}
+
+TEST(SnapshotSdgDecode, RejectsDuplicateStatementIdentity) {
+  AnalysisSession S{std::string(BaseSource)};
+  ASSERT_NE(S.program(), nullptr);
+  EXPECT_EQ(decodeStmtNodes(*S.program(), {{true, 1}, {true, 0}, {true, 1}}),
+            "snapshot: duplicate SDG node identity");
+}
+
+TEST(SnapshotSdgDecode, RejectsStatementWithoutAnchor) {
+  AnalysisSession S{std::string(BaseSource)};
+  ASSERT_NE(S.program(), nullptr);
+  EXPECT_EQ(decodeStmtNodes(*S.program(), {{true, 0}, {false, 1}}),
+            "snapshot: statement node without anchor");
 }
 
 TEST(SnapshotBudget, BudgetedSessionsRefuseToSerialize) {
